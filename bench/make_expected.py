@@ -26,7 +26,8 @@ def main() -> None:
             for sign, value in (("-", a**i - 1), ("+", a**i + 1)):
                 table[f"{a}^{i}{sign}1"] = sorted(sympy.factorint(value).items())
         print(f"base {a} done", flush=True)
-    OUT.write_text(json.dumps(table, indent=0, sort_keys=True) + "\n")
+    lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(table.items())]
+    OUT.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 if __name__ == "__main__":
