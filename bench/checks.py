@@ -15,7 +15,7 @@ from collections import Counter, deque
 
 import sympy
 
-from workloads import CASES, PPD_THRESHOLD_ROWS
+from workloads import CASES, PPD_THRESHOLD_ROWS, metacyclic_orders
 
 EXIT_RESOURCE = 3
 
@@ -310,23 +310,8 @@ def check_mu_alt(doc, code, expected, n):
     return None if doc["result"]["mu"] == want else f"mu alt {n}: {doc['result']['mu']} != {want}"
 
 
-def _metacyclic_orders(m: int, n: int, k: int) -> set[int]:
-    """Element orders of Z_m : Z_n, per coset in closed form.
-
-    For b^i a^j with r = n / gcd(n, j), (b^i a^j)^r = b^(i * S) where
-    S = sum_{t<r} kinv^(j t), so the order is r * m / gcd(m, i * S).
-    """
-    kinv = pow(k, -1, m)
-    orders = set()
-    for j in range(n):
-        r = n // math.gcd(n, j)
-        s = sum(pow(kinv, j * t, m) for t in range(r)) % m
-        orders.update(r * m // math.gcd(m, i * s) for i in range(m))
-    return orders
-
-
 def check_omega_metacyclic(doc, code, expected, m, n, k):
-    mu = _maximal(_metacyclic_orders(m, n, k))
+    mu = _maximal(set(metacyclic_orders(m, n, k)))
     res = doc["result"]
     if res["mu"] != mu or res["omega"] != _closure(mu):
         return f"omega metacyclic {m} {n} {k}: mu {res['mu']}, expected {mu}"

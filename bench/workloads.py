@@ -113,15 +113,19 @@ def ppd_ops(seed: int, expected: dict) -> list[dict]:
     return ops
 
 
-def _metacyclic_work(m: int, n: int, k: int) -> int:
-    """Sum of the element orders of Z_m : Z_n with b -> b^k (closed form)."""
+def metacyclic_orders(m: int, n: int, k: int) -> list[int]:
+    """Element orders of Z_m : Z_n with b -> b^k, per coset in closed form.
+
+    For b^i a^j with r = n / gcd(n, j), (b^i a^j)^r = b^(i * S) where
+    S = sum_{t<r} kinv^(j t), so the order is r * m / gcd(m, i * S).
+    """
     kinv = pow(k, -1, m)
-    total = 0
+    orders = []
     for j in range(n):
         r = n // math.gcd(n, j)
         s = sum(pow(kinv, j * t, m) for t in range(r)) % m
-        total += sum(r * m // math.gcd(m, i * s) for i in range(m))
-    return total
+        orders += [r * m // math.gcd(m, i * s) for i in range(m)]
+    return orders
 
 
 def _metacyclic_groups(rng: random.Random) -> list[tuple[int, int, int]]:
@@ -135,7 +139,7 @@ def _metacyclic_groups(rng: random.Random) -> list[tuple[int, int, int]]:
         n = rng.choice(ns)
         t = rng.choice([t for t in range(1, n + 1) if math.gcd(t, n) == 1])
         k = pow(sympy.primitive_root(m), t * (m - 1) // n, m)
-        if METACYCLIC_WORK[0] <= _metacyclic_work(m, n, k) <= METACYCLIC_WORK[1]:
+        if METACYCLIC_WORK[0] <= sum(metacyclic_orders(m, n, k)) <= METACYCLIC_WORK[1]:
             groups.append((m, n, k))
     return groups
 
