@@ -10,10 +10,14 @@ after S seconds; every round is whole, so failed ops are the same share of
 attempted ops in every run.  Every op's exit code and output are checked
 after its round, with sympy, in this process.
 
+Every time is scaled to a reference host speed by the calibration loop of
+hostspeed.py, timed between the ops of each round and around each cold
+start, so that the host's drift in speed does not move the figures.
+
 --trace 0 prints the end-to-end metrics; set-up time is measured on its
 own, by cold starts between the rounds.  --trace 1 alternates plain and
 traced rounds and prints the per-layer metrics of the traced rounds, per
-round, with the ratio of traced to plain wall time.
+round, with the ratio of traced to plain op time.
 
 The last line of standard output is one JSON object with the keys correct,
 attempted, failed and metrics.
@@ -33,6 +37,7 @@ from pathlib import Path
 import sympy
 
 import checks
+import hostspeed
 import workloads
 from tracing import LAYERS
 
@@ -41,18 +46,21 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 COLD_STARTS_PER_ROUND = 3
 MIN_COLD_STARTS = 12
+COLD_START_CALIBRATION = 5  # calibration passes just before and just after a cold start
 COLD_START = ("import pglspectra.cli; "
               "pglspectra.cli.main(['--json', 'ppd', '2', '1'])")
 ROUND_TIMEOUT_S = 150
 
 
 def cold_start_s() -> float:
-    """CPU time of a fresh interpreter through `import pglspectra` and `ppd 2 1`.
+    """CPU time of a fresh interpreter through `import pglspectra` and `ppd 2 1`,
+    scaled to reference host speed by calibration passes just around it.
 
     CPU time (user + system) rather than wall time: on a shared virtual
     machine wall time adds stalls of tens of milliseconds to some starts
     and not others, and these are the host's, not set-up work.
     """
+    calibration = [hostspeed.sample_ms() for _ in range(COLD_START_CALIBRATION)]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen([sys.executable, "-c", COLD_START], cwd=ROOT, env=env,
                             stdout=subprocess.DEVNULL)
@@ -60,10 +68,16 @@ def cold_start_s() -> float:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise RuntimeError(f"cold start exited {proc.returncode}")
-    return usage.ru_utime + usage.ru_stime
+    calibration += [hostspeed.sample_ms() for _ in range(COLD_START_CALIBRATION)]
+    return (usage.ru_utime + usage.ru_stime) * hostspeed.scale(calibration)
 
 
 def run_round(ops: list[dict], trace: bool) -> tuple[list[dict], dict]:
+    """Run one round in a fresh worker; every time comes back in reference time.
+
+    The summary gains "ops_s", the summed time of the ops, and "scale", the
+    round's host-speed factor (from the median of its calibration times).
+    """
     spec = {"ops": [{k: op[k] for k in ("argv", "binoct") if k in op} for op in ops],
             "trace": trace}
     proc = subprocess.run([sys.executable, str(BENCH / "worker.py")], cwd=ROOT,
@@ -75,7 +89,18 @@ def run_round(ops: list[dict], trace: bool) -> tuple[list[dict], dict]:
     results = [json.loads(line) for line in lines[:-1]]
     if len(results) != len(ops):
         raise RuntimeError(f"worker ran {len(results)} of {len(ops)} ops")
-    return results, json.loads(lines[-1])
+    summary = json.loads(lines[-1])
+    calibration = summary["calibration_ms"]
+    # an op by the loop timed just before and just after it, self times by the round
+    for res, before, after in zip(results, calibration, calibration[1:]):
+        res["ms"] *= hostspeed.scale([before, after])
+    scale = hostspeed.scale(calibration)
+    for stat in summary.get("layers", {}).values():
+        if isinstance(stat, list):  # [calls, self_ms]; the rest are counts
+            stat[1] *= scale
+    summary["ops_s"] = sum(res["ms"] for res in results) / 1000
+    summary["scale"] = scale
+    return results, summary
 
 
 class Tally:
@@ -130,12 +155,13 @@ def end_to_end(ops, tally, seconds) -> dict:
     round nor a stall that hits one op in one round moves a metric."""
     compile_src()
     cold_start_s()  # the first start after a build reads cold files; not counted
-    setup, rates, op_ms, peaks = [], [], [[] for _ in ops], []
+    setup, rates, op_ms, peaks, scales = [], [], [[] for _ in ops], [], []
 
     def step():
         results, summary = run_round(ops, trace=False)
         tally.check(ops, results)
-        rates.append(len(results) / summary["wall_s"])
+        rates.append(len(results) / summary["ops_s"])
+        scales.append(summary["scale"])
         for times, res in zip(op_ms, results):
             times.append(res["ms"])
         peaks.append(summary["peak_rss_kb"] / 1024)
@@ -146,6 +172,8 @@ def end_to_end(ops, tally, seconds) -> dict:
     while len(setup) < MIN_COLD_STARTS:
         setup.append(cold_start_s())
     typical = [statistics.median(times) for times in op_ms]
+    print(f"host-speed scale: median {statistics.median(scales):.4f} over {len(scales)} rounds",
+          file=sys.stderr)
     return {
         "ops_per_s": {"value": statistics.median(rates), "unit": "ops/s"},
         "p50_ms": {"value": statistics.median(typical), "unit": "ms"},
@@ -160,10 +188,10 @@ def per_layer(ops, tally, seconds) -> dict:
     plain, traced, layers = [], [], []
 
     def step():
-        for trace, walls in ((False, plain), (True, traced)):
+        for trace, times in ((False, plain), (True, traced)):
             results, summary = run_round(ops, trace=trace)
             tally.check(ops, results)
-            walls.append(summary["wall_s"])
+            times.append(summary["ops_s"])
             if trace:
                 layers.append(summary["layers"])
 

@@ -7,10 +7,12 @@ matrixgroups.find_binary_octahedral_subgroup(seed), which no CLI command
 reaches.
 
 Each op is timed alone; its output is serialized after the clock stops and
-written as one JSON line {"ms", "code", "out"}.  A last line holds the wall
-time of the whole timed phase, the peak resident memory of this process and,
-when tracing, the per-layer counters.  Nothing but the program and the
-standard library is imported here, so the peak memory is the program's.
+written as one JSON line {"ms", "code", "out"}.  The calibration loop of
+hostspeed.py is timed before the first op and after every op, outside the
+ops' timing.  A last line holds those samples, the peak resident memory of
+this process and, when tracing, the per-layer counters.  Nothing but the
+program, the standard library and the benchmark's own modules is imported
+here, so the peak memory is the program's.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import resource
 import sys
 import time
 import traceback
@@ -26,6 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import hostspeed  # noqa: E402
 from pglspectra import cli, matrixgroups  # noqa: E402
 
 CRASHED = -1  # exit code recorded for an op that raised
@@ -36,6 +38,19 @@ def _binoct_doc(w) -> str:
                        "order_counts": w.order_counts})
 
 
+def peak_rss_kb() -> int:
+    """Peak resident memory of this worker process, in KiB.
+
+    VmHWM, not getrusage's ru_maxrss: Linux carries ru_maxrss over exec, so
+    a worker started from the benchmark's own process would report that
+    process's peak (sympy and all the checked outputs) whenever it is larger.
+    """
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
 def main() -> int:
     spec = json.load(sys.stdin)
     tracer = None
@@ -44,7 +59,7 @@ def main() -> int:
         tracer = tracing.install()
     out = sys.stdout
     clock = time.perf_counter
-    t_start = clock()
+    calibration = [hostspeed.sample_ms()]
     for op in spec["ops"]:
         if "argv" in op:
             buf = io.StringIO()
@@ -66,10 +81,10 @@ def main() -> int:
                 witness, code = None, 1
             ms = (clock() - t0) * 1000
             text = _binoct_doc(witness) if witness is not None else ""
+        calibration.append(hostspeed.sample_ms())
         out.write(json.dumps({"ms": ms, "code": code, "out": text}) + "\n")
-    wall = clock() - t_start
-    summary = {"wall_s": wall,
-               "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
+    summary = {"calibration_ms": calibration,
+               "peak_rss_kb": peak_rss_kb()}
     if tracer is not None:
         summary["layers"] = tracer.report()
     out.write(json.dumps(summary) + "\n")
