@@ -44,10 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable document")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for the randomized factoring/search internals")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="iteration budget per cofactor for Pollard rho")
+    parser.add_argument("--seed", type=int, default=numtheory.DEFAULT_SEED,
+                        help="seed for the randomized factoring/search internals "
+                             "(default %(default)s)")
+    parser.add_argument("--budget", type=int, default=numtheory.DEFAULT_RHO_BUDGET,
+                        help="iteration budget per cofactor for Pollard rho "
+                             "(default %(default)s)")
     parser.add_argument("--cap", type=int, default=None,
                         help="size cap for enumerations (partitions, matrices)")
     sub = parser.add_subparsers(dest="command", required=True)

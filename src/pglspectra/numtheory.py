@@ -1,14 +1,16 @@
 """Arbitrary-precision primality, factorization and primitive prime divisors.
 
 Everything here works on plain Python integers, so values are unbounded.
-The two engines for primitive prime divisors of a^n - 1 are:
+Primitive prime divisors of a^n - 1 come from one cyclotomic core: since
+a^n - 1 = prod over d | n of Phi_d(a), they are exactly the primes of
+Phi_n(a) that do not divide n (_stripped_cyclotomic).  Two queries sit on
+that core:
 
-  * primitive_prime_divisors -- full factorization of a^i - 1 for i <= n and
-    a set difference, exactly like the classical table-building routine;
-  * ppd_exists_above -- an exact existence test "is some primitive prime
-    divisor > q?" that never factors anything big: it evaluates the n-th
-    cyclotomic polynomial at a, strips the primes dividing n, and trial
-    divides by primes <= q.
+  * primitive_prime_divisors -- all of them, by factoring the stripped
+    Phi_n(a) once;
+  * ppd_exists_above -- an exact existence test "is there one above q?"
+    that never factors anything big: it trial divides the stripped
+    Phi_n(a) by the primes <= q and looks at what is left.
 """
 
 from __future__ import annotations
@@ -435,58 +437,60 @@ def is_primitive_prime_divisor(a: int, n: int, s: int) -> bool:
     return all(pow(a, i, s) != 1 % s for i in range(1, n))
 
 
-def primitive_prime_divisors(a: int, n: int, **factor_opts) -> PpdReport:
-    """All primitive prime divisors of a^n - 1, by full factorization.
+def _stripped_cyclotomic(a: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """(Phi_n(a) with every prime of n divided out to full multiplicity, those primes).
 
-    Factors a^i - 1 for every i <= n and takes the set difference of the
-    prime sets, i.e. the same computation as the classical tabulation
-    routine.  For n = 1 the primitivity condition is vacuous and the result
-    is just the prime set of a - 1.
+    The primes of the stripped value are exactly the primitive prime
+    divisors of a^n - 1.  A prime s of Phi_n(a) with d = ord_s(a) < n has
+    n = d * s^k for some k >= 1, so s divides n and is stripped.  A
+    primitive prime divisor s has ord_s(a) = n, so it divides Phi_n(a);
+    and n | s - 1, i.e. s = 1 (mod n), so s > n cannot divide n and is
+    never stripped.  For n = 1 nothing is stripped and Phi_1(a) = a - 1.
+    """
+    value = cyclotomic_value(n, a)
+    n_primes = factor(n).require_complete().primes()
+    for r in n_primes:
+        while value % r == 0:
+            value //= r
+    return value, n_primes
+
+
+def primitive_prime_divisors(a: int, n: int, **factor_opts) -> PpdReport:
+    """All primitive prime divisors of a^n - 1: the primes of the stripped Phi_n(a).
+
+    One factorization of Phi_n(a) with the primes of n divided out (see
+    _stripped_cyclotomic for why that is exact); its primes, completeness
+    and probable primes are the report's.  For n = 1 the primitivity
+    condition is vacuous and the result is just the prime set of a - 1.
     """
     if a < 2 or n < 1:
         raise ValueError("need a >= 2 and n >= 1")
-    complete = True
-    probable: set[int] = set()
-    s_lower: set[int] = set()
-    for i in range(1, n):
-        f = factor(a**i - 1, **factor_opts)
-        complete &= f.complete
-        probable.update(f.probable)
-        s_lower.update(f.primes())
-    f_top = factor(a**n - 1, **factor_opts)
-    complete &= f_top.complete
-    probable.update(f_top.probable)
-    found = frozenset(set(f_top.primes()) - s_lower)
+    value, _ = _stripped_cyclotomic(a, n)
+    f = factor(value, **factor_opts)
     return PpdReport(
-        a=a, n=n, primitive_primes=found,
+        a=a, n=n, primitive_primes=frozenset(f.primes()),
         exception=zsigmondy_exception(a, n),
-        method=METHOD_FULL, complete=complete, probable=tuple(sorted(probable)),
+        method=METHOD_FULL, complete=f.complete, probable=f.probable,
     )
 
 
 def ppd_exists_above(a: int, n: int, q: int) -> PpdReport:
     """Exact decision: does some primitive prime divisor of a^n - 1 exceed q?
 
-    No factorization of a^n - 1 is attempted.  Every prime factor of
-    Phi_n(a) either divides n or is a primitive prime divisor, and every
-    primitive prime divisor divides Phi_n(a); so after stripping the primes
-    of n (to full multiplicity) and trial dividing by all primes <= q, a
+    No factorization of a^n - 1 is attempted.  The primes of the stripped
+    Phi_n(a) are exactly the primitive prime divisors (see
+    _stripped_cyclotomic), so after trial dividing it by all primes <= q, a
     residual > 1 is equivalent to the existence of a primitive prime
     divisor > q.
 
-    Stripping the primes of n is always safe: a primitive prime divisor s
-    satisfies s = 1 (mod n), hence s > n and s cannot divide n.  When q < n
-    the stripped primes exceed q, so as a belt-and-braces measure they are
-    re-checked for primitivity by the definition test before being
-    discounted (the check can never fire, for the reason above).
+    When q < n the stripped primes of n may exceed q, so as a
+    belt-and-braces measure they are re-checked for primitivity by the
+    definition test before being discounted (the check can never fire: a
+    primitive prime divisor is = 1 (mod n) and cannot divide n).
     """
     if a < 2 or n < 2 or q < 2:
         raise ValueError("need a >= 2, n >= 2, q >= 2")
-    value = cyclotomic_value(n, a)
-    n_primes = factor(n).require_complete().primes()
-    for r in n_primes:
-        while value % r == 0:
-            value //= r
+    value, n_primes = _stripped_cyclotomic(a, n)
     found: set[int] = set()
     for r in primes_below(q + 1):
         if value == 1:

@@ -287,7 +287,8 @@ def verify_table1() -> Report:
     The embedded data is first self-checked: every expected entry s must be
     prime, and p must have multiplicative order exactly n modulo s (which is
     equivalent to s being a primitive prime divisor of p^n - 1).  Each cell
-    is then recomputed by full factorization and compared as a set.
+    is then recomputed by factoring Phi_n(p) with the primes of n stripped
+    (primitive_prime_divisors) and compared as a set.
     """
     report = Report("table1: primitive prime divisors for p in {7,13,17}, n in 2..19")
     bad = []

@@ -154,6 +154,19 @@ def test_budget_exhaustion_exit_3(capsys):
     nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
 
 
+def test_budget_does_not_leak_into_next_call(capsys):
+    # a budget given to one main() call must not stay in effect for the next
+    stuck = 2**4 * 3 * 10000019 * 30000001
+    easy = 200000033 * 500000003  # rho splits it well inside the default budget
+    try:
+        assert run(capsys, "--budget", "1000", "factor", str(stuck))[0] == 3
+        code, out, _ = run(capsys, "factor", str(easy))
+        assert code == 0
+        assert "200000033*500000003" in out
+    finally:
+        nt.configure(seed=nt.DEFAULT_SEED, budget=nt.DEFAULT_RHO_BUDGET)
+
+
 def test_cap_exhaustion_exit_3(capsys):
     code, _, err = run(capsys, "--cap", "10", "oracle", "pgl2", "5", "2")
     assert code == 3

@@ -39,6 +39,20 @@ def naive_order(a: int, m: int) -> int:
     return k
 
 
+def ppd_by_set_difference(a: int, n: int) -> tuple[frozenset[int], bool]:
+    """Primitive primes of a^n - 1 as the primes of a^n - 1 that divide no
+    a^i - 1 with i < n, and whether every factorization was complete.
+    Never evaluates a cyclotomic polynomial."""
+    complete = True
+    lower: set[int] = set()
+    for i in range(1, n):
+        f = nt.factor(a**i - 1)
+        complete &= f.complete
+        lower.update(f.primes())
+    top = nt.factor(a**n - 1)
+    return frozenset(set(top.primes()) - lower), complete and top.complete
+
+
 # --- primality ---------------------------------------------------------------
 
 def test_is_prime_matches_trial_division_below_3000():
@@ -259,6 +273,28 @@ def test_ppd_method_equivalence_small_grid():
             via_phi = {p for p in nt.factor(a**n - 1).primes()
                        if phi % p == 0 and n % p != 0}
             assert full == via_phi, (a, n)
+
+
+def test_ppd_matches_set_difference_reference_grid():
+    for a in range(2, 31):
+        for n in range(1, 21):
+            rep = nt.primitive_prime_divisors(a, n)
+            primes, complete = ppd_by_set_difference(a, n)
+            assert complete and rep.complete, (a, n)
+            assert rep.primitive_primes == primes, (a, n)
+            # Zsigmondy: for n >= 2 the set is empty exactly at the exceptions
+            assert (rep.exception != nt.EXCEPTION_NONE) == (n > 1 and not primes), (a, n)
+
+
+def test_ppd_completes_where_lower_a_i_minus_1_are_hard():
+    # Phi_60(7) and Phi_40(13) split at once, although some 7^i - 1 with
+    # i < 60 and 13^i - 1 with i < 40 do not split within these budgets
+    for opts in ({"budget": 100000}, {}):
+        rep = nt.primitive_prime_divisors(7, 60, **opts)
+        assert rep.complete and rep.primitive_primes == {61, 555915824341}
+        rep = nt.primitive_prime_divisors(13, 40, **opts)
+        assert rep.complete
+        assert rep.primitive_primes == {41, 29881, 543124566401}
 
 
 # --- ppd_exists_above ---------------------------------------------------------------
