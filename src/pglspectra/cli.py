@@ -45,13 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable document")
     parser.add_argument("--seed", type=int, default=numtheory.DEFAULT_SEED,
-                        help="seed for the randomized factoring/search internals "
+                        help="seed for the Pollard rho restarts "
                              "(default %(default)s)")
     parser.add_argument("--budget", type=int, default=numtheory.DEFAULT_RHO_BUDGET,
                         help="iteration budget per cofactor for Pollard rho "
                              "(default %(default)s)")
     parser.add_argument("--cap", type=int, default=None,
-                        help="size cap for enumerations (partitions, matrices)")
+                        help="size cap: n for sym/alt, m*n for metacyclic, "
+                             "q for oracle")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ppd", help="primitive prime divisors of a^n - 1")

@@ -23,30 +23,27 @@ from dataclasses import dataclass, field
 
 from .errors import FactorizationIncomplete, NotCoprime
 
-# Tunable defaults; configure() lets the CLI override them once at startup.
+# Factoring defaults.  configure() sets the rho budget and seed that factor()
+# uses when a call passes none; cli.main calls it on every invocation.
 DEFAULT_TRIAL_BOUND = 10**5
 DEFAULT_RHO_BUDGET = 10**7
 DEFAULT_SEED = 0
 
-_trial_bound = DEFAULT_TRIAL_BOUND
 _rho_budget = DEFAULT_RHO_BUDGET
 _seed = DEFAULT_SEED
 
 
-def configure(*, seed: int | None = None, budget: int | None = None,
-              bound: int | None = None) -> None:
-    """Set process-wide defaults for the randomized factoring machinery.
+def configure(*, seed: int | None = None, budget: int | None = None) -> None:
+    """Set the process-wide rho seed and budget; None keeps the current one.
 
-    Meant to be called once before computation starts (e.g. by the CLI);
-    individual functions also accept per-call overrides.
+    The values stay until the next call; individual functions also accept
+    per-call overrides.
     """
-    global _seed, _rho_budget, _trial_bound
+    global _seed, _rho_budget
     if seed is not None:
         _seed = seed
     if budget is not None:
         _rho_budget = budget
-    if bound is not None:
-        _trial_bound = bound
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +246,7 @@ def factor(n: int, *, bound: int | None = None, budget: int | None = None,
     cached = _COMPLETE_CACHE.get(n)
     if cached is not None:
         return cached
-    bound = _trial_bound if bound is None else bound
+    bound = DEFAULT_TRIAL_BOUND if bound is None else bound
     budget = _rho_budget if budget is None else budget
     seed = _seed if seed is None else seed
 

@@ -8,6 +8,7 @@ adjacency is decided on mu directly and omega is never materialized.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import NotPrime
@@ -48,21 +49,18 @@ class ComponentPartition:
 def build_graph(s: Spectrum) -> PrimeGraph:
     """The prime graph of a spectrum.
 
-    Needs the complete factorization of every maximal order; an incomplete
-    one poisons the whole graph with FactorizationIncomplete rather than
-    producing a silently partial vertex set.
+    For primes r != s, r*s divides m iff both r and s do, so the edges are
+    the union over m in mu of all pairs of primes of m.  Needs the complete
+    factorization of every maximal order; an incomplete one poisons the
+    whole graph with FactorizationIncomplete rather than producing a
+    silently partial vertex set.
     """
-    mu = s.sorted_mu()
     vertices: set[int] = set()
-    for m in mu:
-        vertices.update(factor(m).require_complete().primes())
-    verts = sorted(vertices)
-    edges = set()
-    for i, r in enumerate(verts):
-        for t in verts[i + 1:]:
-            rs = r * t
-            if any(m % rs == 0 for m in mu):
-                edges.add((r, t))
+    edges: set[tuple[int, int]] = set()
+    for m in s.sorted_mu():
+        primes = factor(m).require_complete().primes()
+        vertices.update(primes)
+        edges.update(itertools.combinations(primes, 2))
     return PrimeGraph(frozenset(vertices), frozenset(edges))
 
 
@@ -102,16 +100,16 @@ class ComponentSpectra:
 def mu_components(s: Spectrum, part: ComponentPartition) -> ComponentSpectra:
     """Split mu by component: mu_i = {m in mu : all primes of m lie in pi_i}.
 
-    Every maximal order lands in exactly one component because its prime
-    divisors are pairwise adjacent.
+    The primes of a maximal order are pairwise adjacent, so they all lie in
+    one component, found from any one of them.
     """
-    mu_sets = []
-    for comp in part.components:
-        members = set()
-        for m in s.mu:
-            if all(p in comp for p in factor(m).require_complete().primes()):
-                members.add(m)
-        mu_sets.append(frozenset(members))
+    index = {v: i for i, comp in enumerate(part.components) for v in comp}
+    members: list[set[int]] = [set() for _ in part.components]
+    for m in s.mu:
+        primes = factor(m).require_complete().primes()
+        if primes:
+            members[index[primes[0]]].add(m)
+    mu_sets = [frozenset(ms) for ms in members]
     return ComponentSpectra(
         mu_sets=tuple(mu_sets),
         tail_singletons=tuple(len(ms) == 1 for ms in mu_sets[1:]),

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadAction, CapExceeded, NotPrime
-from .numtheory import divisors, is_prime
+from .numtheory import divisors, is_prime, primes_below
 
 DEFAULT_PARTITION_CAP = 40
 DEFAULT_GROUP_CAP = 100_000
@@ -80,72 +80,75 @@ def mu_psl2(p: int, n: int) -> Spectrum:
     return maximal_elements({(q - 1) // eps, p, (q + 1) // eps}, label=f"PSL(2,{q})")
 
 
-def partitions(n: int):
-    """Yield the partitions of n as descending lists (iterative, streaming).
+def _prime_power_sums(n: int) -> dict[int, int]:
+    """Map every element order m of S_n to the sum of its prime-power parts.
 
-    Kelleher's accelerated ascending-composition algorithm; no recursion,
-    constant memory per partition.
+    A permutation of order m needs, for each prime power p^e exactly dividing
+    m, a cycle of length divisible by p^e, and one cycle per prime power is
+    cheapest, so m is an order of S_n iff those parts sum to at most n
+    (the knapsack behind Landau's function).  Built prime by prime: each
+    order found so far takes every power of the next prime that still fits.
     """
-    if n == 0:
-        yield []
-        return
-    a = [0] * (n + 1)
-    k = 1
-    a[1] = n
-    while k != 0:
-        x = a[k - 1] + 1
-        y = a[k] - 1
-        k -= 1
-        while x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        a[k] = x + y
-        yield a[k::-1]
+    sums = {1: 0}
+    for p in primes_below(n + 1):
+        for m, s in list(sums.items()):
+            q = p
+            while s + q <= n:
+                sums[m * q] = s + q
+                q *= p
+    return sums
 
 
-def _lcm(parts) -> int:
-    out = 1
-    for part in parts:
-        out = out * part // math.gcd(out, part)
-    return out
+def _divisor_closed_mu(orders, n: int, label: str) -> Spectrum:
+    """mu of a divisor-closed order set of a group of degree n.
+
+    m is maximal iff no m*p is an order: an order properly divisible by m is
+    divisible by some m*p, and every prime of an order is at most n.
+    """
+    primes = primes_below(n + 1)
+    return Spectrum(frozenset(m for m in orders
+                              if not any(m * p in orders for p in primes)), label)
 
 
 def omega_symmetric(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Spectrum:
-    """Spectrum of the symmetric group on n letters via cycle types.
+    """Spectrum of the symmetric group on n letters.
 
-    The order of a permutation is the lcm of its cycle lengths, so the order
-    set is {lcm(partition) : partition of n}.
+    m is an element order iff its prime-power parts sum to at most n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds partition cap {cap}")
-    return maximal_elements({_lcm(p) for p in partitions(n)}, label=f"S{n}")
+    return _divisor_closed_mu(_prime_power_sums(n), n, label=f"S{n}")
 
 
 def omega_alternating(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Spectrum:
     """Spectrum of the alternating group on n letters.
 
-    Restricts to even cycle types: a partition with r parts is even exactly
-    when n - r is even.
+    Odd-length cycles are even permutations, so every odd order of S_n is
+    an order of A_n.  An even order m needs an even number of even-length
+    cycles, hence at least two; the cheapest second even cycle is a
+    2-cycle, so m is an order of A_n iff its prime-power parts sum to at
+    most n - 2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds partition cap {cap}")
-    orders = {_lcm(p) for p in partitions(n) if (n - len(p)) % 2 == 0}
-    return maximal_elements(orders, label=f"A{n}")
+    orders = {m for m, s in _prime_power_sums(n).items() if m % 2 or s <= n - 2}
+    return _divisor_closed_mu(orders, n, label=f"A{n}")
 
 
 def omega_metacyclic(m: int, n: int, k: int,
                      cap: int = DEFAULT_GROUP_CAP) -> Spectrum:
-    """Spectrum of <a, b | a^n = b^m = 1, a^-1 b a = b^k> by enumeration.
+    """Spectrum of <a, b | a^n = b^m = 1, a^-1 b a = b^k>, coset by coset.
 
-    Requires k^n = 1 (mod m) for the action to be consistent.  Elements are
-    enumerated in the normal form b^i a^j; the product rule
-    (b^i a^j)(b^i' a^j') = b^(i + i' * kinv^j) a^(j + j'), with kinv the
-    inverse of k mod m, follows from pushing a-powers to the right.
+    Requires k^n = 1 (mod m) for the action to be consistent.  Every element
+    is b^i a^j; pushing a-powers to the right gives, with kinv the inverse
+    of k mod m and r = n / gcd(n, j), (b^i a^j)^r = b^(i * S_j) where
+    S_j = sum_{t<r} kinv^(j t).  So b^i a^j has order r * m / gcd(m, i * S_j),
+    which divides the order r * m / gcd(m, S_j) of b a^j: each coset
+    contributes one candidate maximal order.
     """
     if m < 1 or n < 1:
         raise ValueError("orders must be positive")
@@ -154,23 +157,13 @@ def omega_metacyclic(m: int, n: int, k: int,
     if m * n > cap:
         raise CapExceeded(f"group order {m * n} exceeds cap {cap}")
     kinv = pow(k, -1, m)
-    kinv_pow = [1 % m]
-    for _ in range(n - 1):
-        kinv_pow.append(kinv_pow[-1] * kinv % m)
-
-    def mul(x, y):
-        return (x[0] + y[0] * kinv_pow[x[1]]) % m, (x[1] + y[1]) % n
-
-    identity = (0, 0)
     orders = set()
-    for i in range(m):
-        for j in range(n):
-            g = (i, j)
-            acc, order = g, 1
-            while acc != identity:
-                acc = mul(acc, g)
-                order += 1
-            orders.add(order)
+    for j in range(n):
+        r = n // math.gcd(n, j)
+        x = pow(kinv, j, m)
+        # S_j = (x^r - 1) / (x - 1), exact division done modulo m * (x - 1)
+        s = r if x == 1 % m else (pow(x, r, m * (x - 1)) - 1) // (x - 1)
+        orders.add(r * m // math.gcd(m, s))
     return maximal_elements(orders, label=f"Z{m}:Z{n} (b->b^{k})")
 
 

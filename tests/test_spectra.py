@@ -38,6 +38,58 @@ def brute_alternating_orders(n):
             if _is_even_by_inversions(p)}
 
 
+# --- independent oracles: partitions and element stepping ---------------------
+
+def partitions(n):
+    """Yield the partitions of n as descending lists (iterative, streaming).
+
+    Kelleher's accelerated ascending-composition algorithm; no recursion,
+    constant memory per partition.
+    """
+    if n == 0:
+        yield []
+        return
+    a = [0] * (n + 1)
+    k = 1
+    a[1] = n
+    while k != 0:
+        x = a[k - 1] + 1
+        y = a[k] - 1
+        k -= 1
+        while x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        a[k] = x + y
+        yield a[k::-1]
+
+
+def partition_mu(n, alternating=False):
+    """mu of S_n (or A_n) from the lcm of every (even) cycle type."""
+    orders = {math.lcm(*p) for p in partitions(n)
+              if not alternating or (n - len(p)) % 2 == 0}
+    return sp.maximal_elements(orders).mu
+
+
+def metacyclic_mu_by_stepping(m, n, k):
+    """mu of Z_m : Z_n (b -> b^k) by stepping every element b^i a^j to 1.
+
+    (b^i a^j)(b^i' a^j') = b^(i + i' * kinv^j) a^(j + j'), kinv = k^-1 mod m.
+    """
+    kinv = pow(k, -1, m)
+
+    def mul(x, y):
+        return (x[0] + y[0] * pow(kinv, x[1], m)) % m, (x[1] + y[1]) % n
+
+    orders = set()
+    for g in itertools.product(range(m), range(n)):
+        acc, order = g, 1
+        while acc != (0, 0):
+            acc, order = mul(acc, g), order + 1
+        orders.add(order)
+    return sp.maximal_elements(orders).mu
+
+
 # --- Spectrum type -------------------------------------------------------------
 
 def test_spectrum_rejects_non_antichain():
@@ -112,17 +164,17 @@ def test_psl_divides_into_pgl():
 def test_partition_counts():
     known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
     for n, expected in enumerate(known):
-        assert sum(1 for _ in sp.partitions(n)) == expected
+        assert sum(1 for _ in partitions(n)) == expected
 
 
 def test_partitions_are_partitions():
     for n in range(1, 13):
         seen = set()
-        for part in sp.partitions(n):
+        for part in partitions(n):
             assert sum(part) == n
             assert sorted(part, reverse=True) == part
             seen.add(tuple(part))
-        assert len(seen) == sum(1 for _ in sp.partitions(n))
+        assert len(seen) == sum(1 for _ in partitions(n))
 
 
 # --- symmetric / alternating ---------------------------------------------------------
@@ -154,6 +206,12 @@ def test_alternating_inside_symmetric():
         alt = set(sp.omega_closure(sp.omega_alternating(n)))
         sym = set(sp.omega_closure(sp.omega_symmetric(n)))
         assert alt <= sym
+
+
+def test_prime_power_rule_matches_partition_lcms():
+    for n in range(1, 41):
+        assert sp.omega_symmetric(n).mu == partition_mu(n), n
+        assert sp.omega_alternating(n).mu == partition_mu(n, alternating=True), n
 
 
 def test_partition_cap():
@@ -198,6 +256,14 @@ def test_metacyclic_direct_product_case():
 def test_metacyclic_cap():
     with pytest.raises(CapExceeded):
         sp.omega_metacyclic(1000, 1000, 1, cap=1000)
+
+
+def test_metacyclic_closed_form_matches_element_stepping():
+    for m, n in itertools.product(range(1, 31), range(1, 13)):
+        for k in range(m):
+            if pow(k, n, m) == 1 % m:
+                assert sp.omega_metacyclic(m, n, k).mu == \
+                    metacyclic_mu_by_stepping(m, n, k), (m, n, k)
 
 
 # --- F4 odd torus orders ------------------------------------------------------------------
