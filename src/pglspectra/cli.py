@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,6 +37,9 @@ class _Usage(Exception):
     """Raised by handlers on bad arguments; message goes to stderr."""
 
 
+# Built on the first main() call and reused: parse_args leaves the parser
+# unchanged, so a call sees nothing of an earlier one.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pglspectra",

@@ -1,9 +1,9 @@
-"""Explicit GF(p^n) arithmetic and exhaustive 2x2 matrix-group spectra.
+"""Explicit GF(p^n) arithmetic and 2x2 matrix-group spectra by conjugacy class.
 
 This is the independent oracle for the closed-form spectra: fields are
-built from an explicit irreducible modulus, matrices are enumerated one by
-one, and element orders are computed by honest powering (memoized per
-conjugacy invariant).  Nothing here knows the q-1 / p / q+1 formulas.
+built from an explicit irreducible modulus and computed in by Zech
+logarithms, and element orders are found by stepping in the field from one
+matrix per conjugacy class.  Nothing here knows the q-1 / p / q+1 formulas.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 
 from .errors import CapExceeded, NotPrime
 from .numtheory import is_prime
@@ -74,7 +75,8 @@ class FieldCtx:
     Elements are integers in [0, p^n) encoding coefficient vectors in base p
     with the constant term as the least significant digit.  The modulus is
     the lexicographically least monic irreducible polynomial of degree n
-    (coefficients compared constant-term first).
+    (coefficients compared constant-term first).  Arithmetic goes by logs
+    to a primitive element g: g^i + g^j = g^(i + zech[j - i]).
     """
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
@@ -83,6 +85,11 @@ class FieldCtx:
         self.modulus = modulus
         self.q = p**n
         self._pow_p = [p**i for i in range(n)]
+        exp, self._log, self._zech = self.tables()
+        # g^k for 0 <= k < 2(q-1): a sum of two logs indexes it unreduced
+        self._exp = exp + exp
+        # -1 = g^((q-1)/2), or 1 in characteristic 2
+        self._log_minus_one = 0 if p == 2 else (self.q - 1) // 2
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.n}), modulus={list(self.modulus)})"
@@ -98,57 +105,58 @@ class FieldCtx:
         return tuple(out)
 
     def add(self, x: int, y: int) -> int:
-        if hasattr(self, "_tables"):
-            return self._tables[0][x][y]
-        return self.encode(a + b for a, b in zip(self.decode(x), self.decode(y)))
+        if x == 0 or y == 0:
+            return x or y
+        i = self._log[x]
+        z = self._zech[self._log[y] - i]  # a negative index wraps mod q - 1
+        return 0 if z is None else self._exp[i + z]
 
     def neg(self, x: int) -> int:
-        return self.encode(-a for a in self.decode(x))
+        if x == 0:
+            return 0
+        return self._exp[self._log[x] + self._log_minus_one]
 
     def sub(self, x: int, y: int) -> int:
-        if hasattr(self, "_tables"):
-            return self._tables[1][x][y]
-        return self.encode(a - b for a, b in zip(self.decode(x), self.decode(y)))
+        return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        if hasattr(self, "_tables"):
-            return self._tables[2][x][y]
-        return self._mul_slow(x, y)
+        if x == 0 or y == 0:
+            return 0
+        return self._exp[self._log[x] + self._log[y]]
 
     def _mul_slow(self, x: int, y: int) -> int:
         prod = _poly_mul(list(self.decode(x)), list(self.decode(y)), self.p)
         rem = _poly_mod(prod, list(self.modulus), self.p)
         return self.encode(rem + [0] * (self.n - len(rem)))
 
-    def pow(self, x: int, k: int) -> int:
-        out, base = 1, x
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self.pow(x, self.q - 2)
+        return self._exp[-self._log[x]]
 
     def elements(self):
         return range(self.q)
 
-    def tables(self) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-        """(add, sub, mul) lookup tables; built once, only for small q.
-
-        Once built, the scalar add/sub/mul methods answer from the tables.
+    def tables(self) -> tuple[list[int], list[int | None], list[int | None]]:
+        """(exp, log, zech): exp[k] = g^k, log[g^k] = k and zech[k] = log(1 + g^k)
+        for 0 <= k < q - 1, with None for the log of 0.  g is the first of
+        1, 2, ... whose powers, stepped with the polynomial product, reach 1
+        only after q - 1 steps.
         """
-        if not hasattr(self, "_tables"):
-            q = self.q
-            add = [[self.add(x, y) for y in range(q)] for x in range(q)]
-            sub = [[self.sub(x, y) for y in range(q)] for x in range(q)]
-            mul = [[self._mul_slow(x, y) for y in range(q)] for x in range(q)]
-            self._tables = (add, sub, mul)
-        return self._tables
+        q, p = self.q, self.p
+        for g in range(1, q):
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._mul_slow(x, g)
+            if len(exp) == q - 1:
+                break
+        log: list[int | None] = [None] * q
+        for k, x in enumerate(exp):
+            log[x] = k
+        # adding 1 changes only the constant digit
+        zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in exp]
+        return exp, log, zech
 
 
 def field_ctx(p: int, n: int, degree_cap: int = DEFAULT_FIELD_DEGREE_CAP,
@@ -253,28 +261,33 @@ def projective_order(m, ctx: FieldCtx | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive spectra
+# spectra from conjugacy-class representatives
 
-def _order_by_key(trace, det, scalar, rep, family, ctx, memo):
-    key = (trace, det, scalar)
-    order = memo.get(key)
-    if order is None:
-        # trace/det (plus scalar-vs-Jordan flag) determine the conjugacy
-        # class of a 2x2 matrix, and order is a class function
-        if family in ("GL2", "SL2"):
-            order = linear_order(rep, ctx)
-        else:
-            order = projective_order(rep, ctx)
-        memo[key] = order
-    return order
+def _companion_power(t: int, d: int, ctx: FieldCtx) -> tuple[int, int]:
+    """(k, lam): the least k >= 1 with C^k = lam * I, for C = [[0, -d], [1, t]].
+
+    By Cayley-Hamilton C^k = U_k C - d U_{k-1} I, where U_0 = 0, U_1 = 1 and
+    U_{k+1} = t U_k - d U_{k-1}; C is not scalar, so k is the first zero of U.
+    """
+    minus_d = ctx.neg(d)
+    prev, cur, k = 0, 1, 1
+    while cur != 0:
+        prev, cur = cur, ctx.add(ctx.mul(t, cur), ctx.mul(minus_d, prev))
+        k += 1
+    return k, ctx.mul(minus_d, prev)
 
 
 def omega_bruteforce(family: str, p: int, n: int,
                      cap: int = DEFAULT_ENUM_CAP):
-    """Spectrum of GL/SL/PGL/PSL(2, p^n) by enumerating every matrix.
+    """Spectrum of GL/SL/PGL/PSL(2, p^n) from one matrix per conjugacy class.
 
-    PSL2 is realized as the determinant-1 matrices modulo the scalars +-I:
-    enumerate SL(2, q) and take projective orders.
+    Order is a class function, and a non-scalar 2x2 matrix is conjugate to
+    the companion matrix of its characteristic polynomial x^2 - t x + d: the
+    orders are those of the scalars aI and the companion matrices for all t
+    and d != 0, with det 1 (a^2 = 1, d = 1) for SL2 and PSL2.  Where C^k =
+    lam * I first, the projective order is k and the linear one k * ord(lam).
+    PSL2 takes projective orders of SL(2, q), whose only scalars are +-I.  No
+    formula in q is used, so the result checks the closed forms in spectra.
     """
     from .spectra import maximal_elements  # local to avoid import cycle
 
@@ -287,47 +300,32 @@ def omega_bruteforce(family: str, p: int, n: int,
         raise CapExceeded(f"q={q} exceeds enumeration cap {cap}")
     ctx = field_ctx(p, n, degree_cap=max(n, DEFAULT_FIELD_DEGREE_CAP),
                     size_cap=max(q, DEFAULT_FIELD_SIZE_CAP))
-    add, sub, mul = ctx.tables()
-    need_det_one = family in ("SL2", "PSL2")
-    memo: dict = {}
-    orders: set[int] = set()
-    rng = range(q)
-    for a in rng:
-        mul_a = mul[a]
-        add_a = add[a]
-        for d in rng:
-            ad = mul_a[d]
-            trace = add_a[d]
-            sub_ad = sub[ad]
-            for b in rng:
-                mul_b = mul[b]
-                scalar_ab = b == 0 and a == d
-                for c in rng:
-                    det = sub_ad[mul_b[c]]
-                    if det == 0 or (need_det_one and det != 1):
-                        continue
-                    orders.add(_order_by_key(
-                        trace, det, scalar_ab and c == 0,
-                        (a, b, c, d), family, ctx, memo))
+    if family in ("SL2", "PSL2"):
+        scalars, dets = {1, ctx.neg(1)}, (1,)
+    else:
+        scalars = dets = range(1, q)
+    powers = [(1, a) for a in scalars]
+    powers += [_companion_power(t, d, ctx) for d in dets for t in range(q)]
+    if family in ("GL2", "SL2"):  # ord(lam) = (q-1)/gcd(q-1, log lam)
+        orders = {k * ((q - 1) // gcd(q - 1, ctx._log[lam])) for k, lam in powers}
+    else:
+        orders = {k for k, _ in powers}
     label = {"GL2": f"GL(2,{q})", "SL2": f"SL(2,{q})",
              "PGL2": f"PGL(2,{q})", "PSL2": f"PSL(2,{q})"}[family]
     return maximal_elements(orders, label=f"{label} enumerated")
 
 
 def enumerate_sl2(ctx: FieldCtx) -> list[tuple[int, int, int, int]]:
-    """All determinant-1 matrices over the field, in lexicographic order."""
-    add, sub, mul = ctx.tables()
-    out = []
+    """All determinant-1 matrices over the field, in lexicographic order.
+
+    ad - bc = 1 fixes d = (1 + bc)/a when a != 0, and c = -1/b when a = 0.
+    """
     q = ctx.q
-    for a in range(q):
-        mul_a = mul[a]
-        for b in range(q):
-            mul_b = mul[b]
-            for c in range(q):
-                bc = mul_b[c]
-                for d in range(q):
-                    if sub[mul_a[d]][bc] == 1:
-                        out.append((a, b, c, d))
+    out = [(0, b, ctx.neg(ctx.inv(b)), d) for b in range(1, q) for d in range(q)]
+    for a in range(1, q):
+        inv_a = ctx.inv(a)
+        out += [(a, b, c, ctx.mul(ctx.add(1, ctx.mul(b, c)), inv_a))
+                for b in range(q) for c in range(q)]
     return out
 
 

@@ -173,6 +173,19 @@ def test_cap_exhaustion_exit_3(capsys):
     assert "cap" in err.lower()
 
 
+
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(capsys, "--cap", "10", "oracle", "pgl2", "5", "2")[0] == 3
+    code, out, _ = run(capsys, "oracle", "pgl2", "5", "2")
+    assert code == 0
+    assert "matches closed form" in out
+    assert run(capsys, "--json", "ppd", "7", "5", "--upto")[0] == 0
+    code, out, _ = run(capsys, "ppd", "7", "5")
+    assert code == 0
+    assert out == "primitive prime divisors of 7^5 - 1: 2801\n"
+
+
 # --- machine-readable mode ------------------------------------------------------------
 
 def test_json_schema_and_round_trip(capsys):

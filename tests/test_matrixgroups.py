@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -54,6 +55,31 @@ def test_field_axioms(p, n):
     for _ in range(p):
         acc = ctx.add(acc, 1)
     assert acc == 0
+
+
+def slow_tables(ctx):
+    """q x q add/sub/mul tables from the polynomial path alone: digit-wise
+    sums and differences, and the product reduced by the modulus."""
+    def digitwise(x, y, sign):
+        return ctx.encode(a + sign * b for a, b in zip(ctx.decode(x), ctx.decode(y)))
+
+    q = ctx.q
+    add = [[digitwise(x, y, 1) for y in range(q)] for x in range(q)]
+    sub = [[digitwise(x, y, -1) for y in range(q)] for x in range(q)]
+    mul = [[ctx._mul_slow(x, y) for y in range(q)] for x in range(q)]
+    return add, sub, mul
+
+
+@pytest.mark.parametrize("p,n", FIELD_SIZES + [(2, 1), (3, 1)])
+def test_zech_arithmetic_matches_polynomial_path(p, n):
+    ctx = mg.field_ctx(p, n)
+    add, sub, mul = slow_tables(ctx)
+    for x, y in product(range(ctx.q), repeat=2):
+        assert ctx.add(x, y) == add[x][y], (x, y)
+        assert ctx.sub(x, y) == sub[x][y], (x, y)
+        assert ctx.mul(x, y) == mul[x][y], (x, y)
+    for x in range(ctx.q):
+        assert ctx.neg(x) == sub[0][x]
 
 
 def test_multiplicative_group_order():
@@ -146,6 +172,65 @@ def test_omega_bruteforce_gl_sl():
     assert set(sp.omega_closure(mg.omega_bruteforce("SL2", 3, 1))) == {1, 2, 3, 4, 6}
 
 
+def exhaustive_orders(p, n):
+    """Element orders of GL/SL/PGL/PSL(2, p^n) over all q^4 matrices.
+
+    The oracle's own oracle: every matrix is visited, with powers stepped one
+    multiplication at a time in the slow_tables arithmetic.  Orders are
+    memoized per (trace, det, scalar), which fix the conjugacy class of a 2x2
+    matrix.
+    """
+    ctx = mg.field_ctx(p, n)
+    add, sub, mul = slow_tables(ctx)
+
+    def mat_mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return (add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
+                add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]])
+
+    def orders_of(x):
+        # (linear order, projective order)
+        acc, k, proj = x, 1, None
+        while acc != (1, 0, 0, 1):
+            if proj is None and acc[1] == acc[2] == 0 and acc[0] == acc[3]:
+                proj = k
+            acc, k = mat_mul(acc, x), k + 1
+        return k, proj or k
+
+    found = {family: set() for family in mg.FAMILIES}
+    memo = {}
+    for a, b, c, d in product(range(ctx.q), repeat=4):
+        det = sub[mul[a][d]][mul[b][c]]
+        if det == 0:
+            continue
+        key = (add[a][d], det, b == c == 0 and a == d)
+        if key not in memo:
+            memo[key] = orders_of((a, b, c, d))
+        linear, projective = memo[key]
+        found["GL2"].add(linear)
+        found["PGL2"].add(projective)
+        if det == 1:
+            found["SL2"].add(linear)
+            found["PSL2"].add(projective)
+    return found
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2), (11, 1), (13, 1), (2, 4)])
+def test_class_representatives_match_exhaustive_enumeration(p, n):
+    found = exhaustive_orders(p, n)
+    for family in mg.FAMILIES:
+        assert mg.omega_bruteforce(family, p, n).mu == \
+            sp.maximal_elements(found[family]).mu, family
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (7, 2), (2, 6)])
+def test_oracle_beyond_enumeration_reach(p, n):
+    assert mg.omega_bruteforce("PGL2", p, n, cap=64).mu == sp.mu_pgl2(p, n).mu
+    assert mg.omega_bruteforce("PSL2", p, n, cap=64).mu == sp.mu_psl2(p, n).mu
+
+
 def test_omega_bruteforce_guards():
     with pytest.raises(ValueError):
         mg.omega_bruteforce("SP4", 3, 1)
@@ -153,6 +238,16 @@ def test_omega_bruteforce_guards():
         mg.omega_bruteforce("PGL2", 2, 7)
     with pytest.raises(NotPrime):
         mg.omega_bruteforce("PGL2", 10, 1)
+
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 2), (7, 1)])
+def test_enumerate_sl2_in_lexicographic_order(p, n):
+    ctx = mg.field_ctx(p, n)
+    _, sub, mul = slow_tables(ctx)
+    assert mg.enumerate_sl2(ctx) == [
+        (a, b, c, d) for a, b, c, d in product(range(ctx.q), repeat=4)
+        if sub[mul[a][d]][mul[b][c]] == 1]
 
 
 # --- closure -------------------------------------------------------------------------------
@@ -211,3 +306,11 @@ def test_find_binary_octahedral_subgroup():
     # reproducible for the fixed seed
     again = mg.find_binary_octahedral_subgroup(seed=0)
     assert again.generators == w.generators
+
+
+def test_binary_octahedral_witness_is_pinned():
+    # a change to the field arithmetic or to the order of enumerate_sl2 must
+    # not move the witness a seed finds
+    w = mg.find_binary_octahedral_subgroup(seed=0)
+    assert w.generators == ((3, 5, 4, 0), (3, 1, 1, 3))
+    assert w.order_counts == ((1, 1), (2, 1), (3, 8), (4, 18), (6, 8), (8, 12))
