@@ -8,7 +8,7 @@ from .matrixgroups import (FieldCtx, ProjMatrix, field_ctx,
                            projective_order, subgroup_closure)
 from .numtheory import (CatalanSolution, Factorization, PpdReport,
                         catalan_solutions, cyclotomic_value, divisors, factor,
-                        is_prime, largest_prime_below, mobius,
+                        factor_pieces, is_prime, largest_prime_below, mobius,
                         multiplicative_order, ppd_exists_above,
                         primitive_prime_divisors, zsigmondy_exception)
 from .primegraph import (ComponentPartition, PrimeGraph, build_graph,

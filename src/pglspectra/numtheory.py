@@ -10,7 +10,11 @@ that core:
     Phi_n(a) once;
   * ppd_exists_above -- an exact existence test "is there one above q?"
     that never factors anything big: it trial divides the stripped
-    Phi_n(a) by the primes <= q and looks at what is left.
+    Phi_n(a) by the r = 1 (mod n) up to q and looks at what is left.
+
+The same identity, a^n - 1 = prod over d | n of Phi_d(a), lets callers
+that know an order as a product of such pieces factor it piece by piece
+(factor_pieces) instead of whole.
 """
 
 from __future__ import annotations
@@ -310,9 +314,48 @@ def factor(n: int, *, bound: int | None = None, budget: int | None = None,
     return result
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    f = factor(n).require_complete()
+def factor_pieces(pieces, **factor_opts) -> Factorization:
+    """Factor a product given as its pieces, one factor() call per piece.
+
+    The pieces need not be coprime: prime counts are summed, probable primes
+    united, and the stuck cofactors multiplied.  The result is complete only
+    if every piece factored completely; the product itself is never factored
+    whole.  Complete results are cached under the product, so a repeat call,
+    or factor() of the product, is one lookup.
+    """
+    pieces = tuple(pieces)
+    n = math.prod(pieces)
+    cached = _COMPLETE_CACHE.get(n)
+    if cached is not None:
+        return cached
+    counts: Counter[int] = Counter()
+    probable: set[int] = set()
+    cofactor = 1
+    complete = True
+    for piece in pieces:
+        f = factor(piece, **factor_opts)
+        counts.update(f.as_dict())
+        probable.update(f.probable)
+        cofactor *= f.cofactor
+        complete &= f.complete
+    result = Factorization(
+        base_n=n,
+        factors=tuple(sorted(counts.items())),
+        complete=complete,
+        cofactor=cofactor,
+        probable=tuple(sorted(probable)),
+    )
+    if complete and len(_COMPLETE_CACHE) < 200_000:
+        _COMPLETE_CACHE[n] = result
+    return result
+
+
+def divisors(n: int, pieces=None) -> list[int]:
+    """All positive divisors of n, ascending.
+
+    pieces, when given, multiply to n and are factored apart (factor_pieces).
+    """
+    f = factor_pieces(pieces or (n,)).require_complete()
     divs = [1]
     for p, e in f.factors:
         divs = [d * p**k for d in divs for k in range(e + 1)]
@@ -476,9 +519,13 @@ def ppd_exists_above(a: int, n: int, q: int) -> PpdReport:
 
     No factorization of a^n - 1 is attempted.  The primes of the stripped
     Phi_n(a) are exactly the primitive prime divisors (see
-    _stripped_cyclotomic), so after trial dividing it by all primes <= q, a
+    _stripped_cyclotomic), so after dividing out all of them <= q, a
     residual > 1 is equivalent to the existence of a primitive prime
-    divisor > q.
+    divisor > q.  Those primes are all 1 (mod n), so the trial divisors are
+    r = 1 + k*n <= q, ascending: a composite r never divides, since its
+    primes are smaller candidates already divided out.  Once r^2 exceeds
+    the residual, the residual is 1 or a prime, which is divided out too
+    if it is <= q.  Memory stays O(1) and the steps number about q/n.
 
     When q < n the stripped primes of n may exceed q, so as a
     belt-and-braces measure they are re-checked for primitivity by the
@@ -489,8 +536,11 @@ def ppd_exists_above(a: int, n: int, q: int) -> PpdReport:
         raise ValueError("need a >= 2, n >= 2, q >= 2")
     value, n_primes = _stripped_cyclotomic(a, n)
     found: set[int] = set()
-    for r in primes_below(q + 1):
-        if value == 1:
+    for r in range(n + 1, q + 1, n):
+        if r * r > value:
+            if 1 < value <= q:
+                found.add(value)
+                value = 1
             break
         if value % r == 0:
             found.add(r)
@@ -560,25 +610,22 @@ def _prime_power(u: int) -> tuple[int, int] | None:
 
 
 def catalan_solutions(value_bound: int) -> list[CatalanSolution]:
-    """All (p, m, q, n) with p, q prime, p^m = q^n + 1 <= value_bound.
+    """All (p, m, q, n) with p, q prime, p^m = q^n + 1 <= value_bound, ascending.
 
-    Exhaustively enumerates prime powers p^m up to the bound and tests
-    whether p^m - 1 is itself a prime power.  Each solution is classified
-    into the Mersenne family (p = 2), the Fermat family (q = 2) or the
-    single exceptional solution 3^2 = 2^3 + 1.
+    p^m and q^n differ by 1, so one of them is even: p = 2 or q = 2.  So it
+    is enough to test 2^k - 1 (p = 2, m = k) and 2^k + 1 (q = 2, n = k) as
+    prime powers for every 2^k up to the bound.  Each solution is
+    classified into the Mersenne family (p = 2), the Fermat family (q = 2)
+    or the single exceptional solution 3^2 = 2^3 + 1.
     """
     if value_bound < 9:
         raise ValueError("value_bound must be >= 9")
     out = []
-    for p in primes_below(value_bound + 1):
-        v = p
-        m = 1
-        while v <= value_bound:
-            qn = _prime_power(v - 1)
-            if qn is not None:
-                q, n = qn
-                out.append(CatalanSolution(p, m, q, n, _classify_catalan(p, m, q, n)))
-            v *= p
-            m += 1
-    out.sort(key=lambda s: (s.value, s.p))
+    k = 1
+    while (power := 1 << k) <= value_bound:
+        if (qn := _prime_power(power - 1)) is not None:
+            out.append(CatalanSolution(2, k, *qn, _classify_catalan(2, k, *qn)))
+        if power + 1 <= value_bound and (pm := _prime_power(power + 1)) is not None:
+            out.append(CatalanSolution(*pm, 2, k, _classify_catalan(*pm, 2, k)))
+        k += 1
     return out

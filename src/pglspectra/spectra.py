@@ -2,7 +2,9 @@
 
 A spectrum (the set of element orders of a finite group) is divisor-closed,
 so it is stored by the antichain of its maximal elements mu; the full set
-omega is recovered on demand by divisor closure.
+omega is recovered on demand by divisor closure.  The PGL/PSL(2, q) closed
+forms also record each order as its cyclotomic pieces Phi_d(p), so that
+consumers factor the pieces, not q -+ 1 whole.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadAction, CapExceeded, NotPrime
-from .numtheory import divisors, is_prime, primes_below
+from .numtheory import cyclotomic_value, divisors, is_prime, primes_below
 
 DEFAULT_PARTITION_CAP = 40
 DEFAULT_GROUP_CAP = 100_000
@@ -23,10 +25,18 @@ class Spectrum:
 
     mu must be a divisibility antichain: no member divides another.  In
     particular 1 only appears as the spectrum of the trivial group.
+
+    pieces maps an order to factors whose product it is, such as the
+    cyclotomic values Phi_d(p) of q - 1 and q + 1; consumers factor those
+    pieces (numtheory.factor_pieces) instead of the order whole.  An order
+    without an entry is its own single piece.  Building a spectrum factors
+    nothing.
     """
 
     mu: frozenset[int]
     label: str = field(default="", compare=False)
+    pieces: dict[int, tuple[int, ...]] = field(default_factory=dict,
+                                               compare=False, repr=False)
 
     def __post_init__(self):
         if not self.mu:
@@ -41,22 +51,41 @@ class Spectrum:
     def sorted_mu(self) -> list[int]:
         return sorted(self.mu)
 
+    def pieces_of(self, m: int) -> tuple[int, ...]:
+        """Factors whose product is the order m: its recorded pieces, or (m,)."""
+        return self.pieces.get(m, (m,))
 
-def maximal_elements(orders, label: str = "") -> Spectrum:
-    """Reduce a set of orders to the members maximal under divisibility."""
+
+def maximal_elements(orders, label: str = "", pieces=None) -> Spectrum:
+    """Reduce a set of orders to the members maximal under divisibility.
+
+    pieces, an order-to-pieces map as in Spectrum, is passed through.
+    """
     values = set(orders)
     if not values:
         raise ValueError("empty order set")
     mu = {m for m in values if not any(k != m and k % m == 0 for k in values)}
-    return Spectrum(frozenset(mu), label)
+    return Spectrum(frozenset(mu), label, pieces or {})
 
 
 def omega_closure(s: Spectrum) -> list[int]:
     """The full divisor-closed spectrum omega, ascending (always contains 1)."""
     out: set[int] = set()
     for m in s.mu:
-        out.update(divisors(m))
+        out.update(divisors(m, s.pieces_of(m)))
     return sorted(out)
+
+
+def _q_pm_1_pieces(p: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """q - 1 and q + 1, q = p^n, as their cyclotomic pieces Phi_d(p).
+
+    q - 1 is the product over d | n, and q + 1 = (q^2 - 1)/(q - 1) the
+    product over the d | 2n that do not divide n.
+    """
+    minus, plus = [], []
+    for d in divisors(2 * n):
+        (minus if n % d == 0 else plus).append(cyclotomic_value(d, p))
+    return tuple(minus), tuple(plus)
 
 
 def mu_pgl2(p: int, n: int) -> Spectrum:
@@ -66,7 +95,14 @@ def mu_pgl2(p: int, n: int) -> Spectrum:
     if n < 1:
         raise ValueError("n must be >= 1")
     q = p**n
-    return maximal_elements({q - 1, p, q + 1}, label=f"PGL(2,{q})")
+    minus, plus = _q_pm_1_pieces(p, n)
+    return maximal_elements({q - 1, p, q + 1}, label=f"PGL(2,{q})",
+                            pieces={q - 1: minus, q + 1: plus})
+
+
+def _halve_first_even(pieces: tuple[int, ...]) -> tuple[int, ...]:
+    i = next(i for i, v in enumerate(pieces) if v % 2 == 0)
+    return pieces[:i] + (pieces[i] // 2,) + pieces[i + 1:]
 
 
 def mu_psl2(p: int, n: int) -> Spectrum:
@@ -76,8 +112,12 @@ def mu_psl2(p: int, n: int) -> Spectrum:
     if n < 1:
         raise ValueError("n must be >= 1")
     q = p**n
+    minus, plus = _q_pm_1_pieces(p, n)
     eps = math.gcd(2, q - 1)
-    return maximal_elements({(q - 1) // eps, p, (q + 1) // eps}, label=f"PSL(2,{q})")
+    if eps == 2:
+        minus, plus = _halve_first_even(minus), _halve_first_even(plus)
+    return maximal_elements({(q - 1) // eps, p, (q + 1) // eps}, label=f"PSL(2,{q})",
+                            pieces={(q - 1) // eps: minus, (q + 1) // eps: plus})
 
 
 def _prime_power_sums(n: int) -> dict[int, int]:

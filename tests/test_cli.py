@@ -167,6 +167,33 @@ def test_budget_does_not_leak_into_next_call(capsys):
         nt.configure(seed=nt.DEFAULT_SEED, budget=nt.DEFAULT_RHO_BUDGET)
 
 
+def test_graph_incomplete_cyclotomic_piece_exit_3(capsys, monkeypatch):
+    # Phi_37(3) = 13097927 * 17189128703 does not split in 200 rho iterations
+    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    try:
+        code, doc, _ = run_json(capsys, "--budget", "200", "graph", "pgl2", "3", "37")
+    finally:
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
+    assert code == 3
+    assert doc["result"] is None
+    assert any(str(13097927 * 17189128703) in d for d in doc["diagnostics"])
+
+
+def test_graph_pgl2_97_24_completes(capsys):
+    # 97^24 + 1 = 2 * 17 * 230512752775793 * Phi_48(97), a 32-digit prime:
+    # whole, it defeats rho at the default budget; by pieces it is instant
+    sympy = pytest.importorskip("sympy")
+    code, doc, _ = run_json(capsys, "graph", "pgl2", "97", "24")
+    assert code == 0
+    pi1: set[int] = set()  # the primes of 97^48 - 1, piece by piece
+    for d in sympy.divisors(48):
+        pi1 |= set(sympy.factorint(int(sympy.cyclotomic_poly(d, 97))))
+    r = doc["result"]
+    assert r["vertices"] == sorted(pi1 | {97})
+    assert r["components"] == [sorted(pi1), [97]]
+    assert r["t"] == 2
+
+
 def test_cap_exhaustion_exit_3(capsys):
     code, _, err = run(capsys, "--cap", "10", "oracle", "pgl2", "5", "2")
     assert code == 3

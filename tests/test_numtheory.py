@@ -53,6 +53,51 @@ def ppd_by_set_difference(a: int, n: int) -> tuple[frozenset[int], bool]:
     return frozenset(set(top.primes()) - lower), complete and top.complete
 
 
+def ppd_above_by_sieve(a: int, n: int, q: int) -> tuple[nt.PpdReport, bool]:
+    """ppd_exists_above by trial division with every prime <= q from a sieve,
+    and whether the residual was ever itself a prime <= q."""
+    value, n_primes = nt._stripped_cyclotomic(a, n)
+    found: set[int] = set()
+    edge = False
+    for r in nt.primes_below(q + 1):
+        if value == 1:
+            break
+        edge |= value == r
+        if value % r == 0:
+            found.add(r)
+            while value % r == 0:
+                value //= r
+    exists = value > 1
+    if q < n:
+        for r in n_primes:
+            if r > q and nt.is_primitive_prime_divisor(a, n, r):
+                found.add(r)
+                exists = True
+    rep = nt.PpdReport(
+        a=a, n=n, primitive_primes=frozenset(found),
+        exception=nt.zsigmondy_exception(a, n),
+        method=nt.METHOD_RESIDUAL, residual=value,
+        threshold=q, exists_above_threshold=exists,
+        complete=not exists,
+    )
+    return rep, edge
+
+
+def catalan_by_sieve(value_bound: int) -> list[tuple[int, int, int, int, str]]:
+    """Every prime power p^m <= bound, sieved, with p^m - 1 tested as a prime power."""
+    out = []
+    for p in nt.primes_below(value_bound + 1):
+        v, m = p, 1
+        while v <= value_bound:
+            qn = nt._prime_power(v - 1)
+            if qn is not None:
+                out.append((p, m, *qn, nt._classify_catalan(p, m, *qn)))
+            v *= p
+            m += 1
+    out.sort(key=lambda s: (s[0]**s[1], s[0]))
+    return out
+
+
 # --- primality ---------------------------------------------------------------
 
 def test_is_prime_matches_trial_division_below_3000():
@@ -154,6 +199,30 @@ def test_factor_deterministic_for_fixed_seed():
 
 
 # --- divisors / mobius --------------------------------------------------------
+
+def test_factor_pieces_merges_counts_and_probable_primes():
+    m89 = 2**89 - 1  # prime, beyond the deterministic primality range
+    f = nt.factor_pieces((m89, 12, m89, 1))
+    assert f == nt.Factorization(12 * m89**2, ((2, 2), (3, 1), (m89, 2)),
+                                 probable=(m89,))
+    assert f == nt.factor(12 * m89**2)
+
+
+def test_factor_pieces_incomplete_multiplies_stuck_cofactors():
+    hard = 999999999999989 * 999998999999977
+    f = nt.factor_pieces((hard, 10, hard), budget=200)
+    assert not f.complete
+    assert f.base_n == 10 * hard**2
+    assert f.factors == ((2, 1), (5, 1))
+    assert f.cofactor == hard**2
+    assert f.product() == f.base_n
+    with pytest.raises(FactorizationIncomplete):
+        f.require_complete()
+
+
+def test_divisors_by_pieces():
+    assert nt.divisors(2400, (3, 8, 100)) == nt.divisors(2400)
+
 
 def test_divisors_examples():
     assert nt.divisors(1) == [1]
@@ -330,6 +399,20 @@ def test_ppd_above_agrees_with_full_factorization():
                 assert all(s <= q for s in rep.primitive_primes)
 
 
+def test_ppd_above_matches_sieve_route_grid():
+    # residual, verdict and primes equal the trial division by every prime
+    # <= q, including the cases where the residual becomes a prime <= q
+    # (found by the early stop) and q < n (the stripped-prime re-check)
+    edges = 0
+    for q in (2, 3, 7, 19, 50, 127, 2000):
+        for a in range(2, 31):
+            for n in range(2, 31):
+                expected, edge = ppd_above_by_sieve(a, n, q)
+                assert nt.ppd_exists_above(a, n, q) == expected, (a, n, q)
+                edges += edge
+    assert edges > 100
+
+
 def test_ppd_above_small_threshold_regime():
     # q < n exercises the documented re-check of stripped primes; in
     # (2, 14, 3) the stripped prime 7 exceeds q but divides 2^3 - 1,
@@ -365,6 +448,24 @@ def test_catalan_families_to_one_million():
     assert fermat_p <= {3, 5, 17, 257, 65537}
     assert mersenne_q <= {3, 7, 31, 127, 8191, 131071, 524287}
     assert exceptional == [(3, 2, 2, 3)]
+
+
+def test_catalan_matches_sieve_route():
+    for bound in (9, 10, 100, 10**4, 10**6):
+        got = [(s.p, s.m, s.q, s.n, s.family) for s in nt.catalan_solutions(bound)]
+        assert got == catalan_by_sieve(bound), bound
+
+
+def test_catalan_far_beyond_sieving_range():
+    sols = nt.catalan_solutions(10**60)
+    assert all(s.family != nt.FAMILY_UNCLASSIFIED for s in sols)
+    assert all(s.p**s.m == s.q**s.n + 1 <= 10**60 for s in sols)
+    # Mersenne primes 2^k - 1 below 10^60 and the known Fermat primes
+    assert {s.q for s in sols if s.family == nt.FAMILY_MERSENNE} == {
+        2**k - 1 for k in (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127)}
+    assert {s.p for s in sols if s.family == nt.FAMILY_FERMAT} == {3, 5, 17, 257, 65537}
+    assert [(s.p, s.m, s.q, s.n) for s in sols
+            if s.family == nt.FAMILY_EXCEPTIONAL] == [(3, 2, 2, 3)]
 
 
 def test_catalan_rejects_tiny_bound():

@@ -122,6 +122,24 @@ def test_build_graph_incomplete_budget():
         nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
 
 
+def test_build_graph_incomplete_cyclotomic_piece(monkeypatch):
+    # 3^37 - 1 = 2 * Phi_37(3) and Phi_37(3) = 13097927 * 17189128703, which
+    # rho cannot split in 200 iterations: the stuck piece poisons the graph
+    # and no factorization of 3^37 - 1 whole is tried in its place
+    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    s = sp.mu_pgl2(3, 37)
+    nt.configure(budget=200)
+    try:
+        with pytest.raises(FactorizationIncomplete) as info:
+            pgr.build_graph(s)
+    finally:
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
+    partial = info.value.partial
+    assert partial.base_n == 3**37 - 1
+    assert partial.factors == ((2, 1),)
+    assert partial.cofactor == 13097927 * 17189128703
+
+
 def test_to_dot_stable_output():
     s = sp.mu_pgl2(7, 1)
     g = pgr.build_graph(s)

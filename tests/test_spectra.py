@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pglspectra import numtheory as nt
 from pglspectra import spectra as sp
 from pglspectra.errors import BadAction, CapExceeded, NotPrime
 
@@ -142,6 +143,42 @@ def test_mu_psl2_examples():
     assert sp.mu_psl2(3, 2).mu == {4, 3, 5}
     assert sp.mu_psl2(2, 3).mu == {2, 7, 9}
     assert sp.mu_psl2(5, 1).mu == {2, 5, 3}
+
+
+def test_pieces_multiply_to_their_orders():
+    for p in (2, 3, 5, 7, 13, 17, 19):
+        for n in range(1, 17):
+            for s in (sp.mu_pgl2(p, n), sp.mu_psl2(p, n)):
+                for m in s.mu:
+                    assert math.prod(s.pieces_of(m)) == m, (s.label, m)
+    # an order without a recorded entry is its own single piece
+    assert sp.Spectrum(frozenset({12, 5})).pieces_of(12) == (12,)
+
+
+def test_merged_pieces_equal_whole_factorization(monkeypatch):
+    # q - 1, q + 1 and both PSL halves, factored whole and by their
+    # cyclotomic pieces; each side starts from an empty cache, so neither
+    # can just read the other's result back
+    cache: dict = {}
+    monkeypatch.setattr(nt, "_COMPLETE_CACHE", cache)
+    for p in (2, 3, 5, 7, 13, 17, 19):
+        for n in range(1, 17):
+            for s in (sp.mu_pgl2(p, n), sp.mu_psl2(p, n)):
+                for m in s.mu - {p}:
+                    cache.clear()
+                    whole = nt.factor(m)
+                    cache.clear()
+                    merged = nt.factor_pieces(s.pieces_of(m))
+                    assert merged == whole, (s.label, m)
+                    assert merged.complete
+
+
+def test_omega_closure_by_pieces_matches_whole_divisors():
+    for p, n in ((7, 4), (13, 3), (2, 6), (3, 5)):
+        for s in (sp.mu_pgl2(p, n), sp.mu_psl2(p, n)):
+            bare = sp.Spectrum(s.mu, s.label)
+            assert not bare.pieces
+            assert sp.omega_closure(s) == sp.omega_closure(bare)
 
 
 def test_mu_rejects_composite_characteristic():
