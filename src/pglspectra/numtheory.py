@@ -170,6 +170,13 @@ class Factorization:
             raise FactorizationIncomplete(self)
         return self
 
+    def divisors(self) -> list[int]:
+        """All positive divisors of base_n, ascending; needs completeness."""
+        divs = [1]
+        for p, e in self.require_complete().factors:
+            divs = [d * p**k for d in divs for k in range(e + 1)]
+        return sorted(divs)
+
     def __str__(self) -> str:
         if not self.factors and self.cofactor == 1:
             return "1"
@@ -314,7 +321,7 @@ def factor(n: int, *, bound: int | None = None, budget: int | None = None,
     return result
 
 
-def factor_pieces(pieces, **factor_opts) -> Factorization:
+def factor_pieces(pieces) -> Factorization:
     """Factor a product given as its pieces, one factor() call per piece.
 
     The pieces need not be coprime: prime counts are summed, probable primes
@@ -333,7 +340,7 @@ def factor_pieces(pieces, **factor_opts) -> Factorization:
     cofactor = 1
     complete = True
     for piece in pieces:
-        f = factor(piece, **factor_opts)
+        f = factor(piece)
         counts.update(f.as_dict())
         probable.update(f.probable)
         cofactor *= f.cofactor
@@ -350,16 +357,9 @@ def factor_pieces(pieces, **factor_opts) -> Factorization:
     return result
 
 
-def divisors(n: int, pieces=None) -> list[int]:
-    """All positive divisors of n, ascending.
-
-    pieces, when given, multiply to n and are factored apart (factor_pieces).
-    """
-    f = factor_pieces(pieces or (n,)).require_complete()
-    divs = [1]
-    for p, e in f.factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    return factor(n).divisors()
 
 
 def mobius(n: int) -> int:

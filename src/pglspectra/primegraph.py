@@ -5,7 +5,7 @@ adjacent exactly when r*s is itself an element order.  Since the spectrum
 is divisor-closed, r*s lies in it iff r*s divides some maximal order, so
 adjacency is decided on mu directly and omega is never materialized.
 Each maximal order is factored by the pieces its spectrum records
-(numtheory.factor_pieces): for PGL/PSL(2, q) the cyclotomic values Phi_d(p)
+(Spectrum.factorization): for PGL/PSL(2, q) the cyclotomic values Phi_d(p)
 that multiply to q -+ 1 (or their halves), never q -+ 1 whole.
 """
 
@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotPrime
-from .numtheory import factor_pieces, is_prime
+from .numtheory import is_prime
 from .spectra import Spectrum
 
 
@@ -54,7 +54,7 @@ def build_graph(s: Spectrum) -> PrimeGraph:
 
     For primes r != s, r*s divides m iff both r and s do, so the edges are
     the union over m in mu of all pairs of primes of m.  Each m is factored
-    by its pieces (Spectrum.pieces_of), which for the PGL/PSL(2, q) closed
+    by its pieces (Spectrum.factorization), which for the PGL/PSL(2, q) closed
     forms are cyclotomic values Phi_d(p).  Needs the complete factorization
     of every maximal order; an incomplete piece poisons the whole graph
     with FactorizationIncomplete rather than producing a silently partial
@@ -63,7 +63,7 @@ def build_graph(s: Spectrum) -> PrimeGraph:
     vertices: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for m in s.sorted_mu():
-        primes = factor_pieces(s.pieces_of(m)).require_complete().primes()
+        primes = s.factorization(m).require_complete().primes()
         vertices.update(primes)
         edges.update(itertools.combinations(primes, 2))
     return PrimeGraph(frozenset(vertices), frozenset(edges))
@@ -111,7 +111,7 @@ def mu_components(s: Spectrum, part: ComponentPartition) -> ComponentSpectra:
     index = {v: i for i, comp in enumerate(part.components) for v in comp}
     members: list[set[int]] = [set() for _ in part.components]
     for m in s.mu:
-        primes = factor_pieces(s.pieces_of(m)).require_complete().primes()
+        primes = s.factorization(m).require_complete().primes()
         if primes:
             members[index[primes[0]]].add(m)
     mu_sets = [frozenset(ms) for ms in members]

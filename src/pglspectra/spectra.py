@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadAction, CapExceeded, NotPrime
-from .numtheory import cyclotomic_value, divisors, is_prime, primes_below
+from .numtheory import Factorization, factor_pieces, is_prime, primes_below
 
 DEFAULT_PARTITION_CAP = 40
 DEFAULT_GROUP_CAP = 100_000
@@ -27,10 +27,10 @@ class Spectrum:
     particular 1 only appears as the spectrum of the trivial group.
 
     pieces maps an order to factors whose product it is, such as the
-    cyclotomic values Phi_d(p) of q - 1 and q + 1; consumers factor those
-    pieces (numtheory.factor_pieces) instead of the order whole.  An order
-    without an entry is its own single piece.  Building a spectrum factors
-    nothing.
+    cyclotomic values Phi_d(p) of q - 1 and q + 1; factorization(m) factors
+    those pieces (numtheory.factor_pieces) instead of the order whole.  An
+    order without an entry is its own single piece.  Building a spectrum
+    factors nothing: the closed forms get their pieces by exact division.
     """
 
     mu: frozenset[int]
@@ -55,6 +55,10 @@ class Spectrum:
         """Factors whose product is the order m: its recorded pieces, or (m,)."""
         return self.pieces.get(m, (m,))
 
+    def factorization(self, m: int) -> Factorization:
+        """The factorization of the order m, merged from its pieces."""
+        return factor_pieces(self.pieces_of(m))
+
 
 def maximal_elements(orders, label: str = "", pieces=None) -> Spectrum:
     """Reduce a set of orders to the members maximal under divisibility.
@@ -72,7 +76,7 @@ def omega_closure(s: Spectrum) -> list[int]:
     """The full divisor-closed spectrum omega, ascending (always contains 1)."""
     out: set[int] = set()
     for m in s.mu:
-        out.update(divisors(m, s.pieces_of(m)))
+        out.update(s.factorization(m).divisors())
     return sorted(out)
 
 
@@ -80,11 +84,21 @@ def _q_pm_1_pieces(p: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """q - 1 and q + 1, q = p^n, as their cyclotomic pieces Phi_d(p).
 
     q - 1 is the product over d | n, and q + 1 = (q^2 - 1)/(q - 1) the
-    product over the d | 2n that do not divide n.
+    product over the d | 2n that do not divide n.  Taking d ascending, each
+    Phi_d(p) is p^d - 1 divided by the Phi_e(p) already found for e | d,
+    e < d, so nothing is factored.
     """
+    phi: dict[int, int] = {}
     minus, plus = [], []
-    for d in divisors(2 * n):
-        (minus if n % d == 0 else plus).append(cyclotomic_value(d, p))
+    for d in range(1, 2 * n + 1):
+        if (2 * n) % d:
+            continue
+        value = p**d - 1
+        for e, v in phi.items():
+            if d % e == 0:
+                value //= v
+        phi[d] = value
+        (minus if n % d == 0 else plus).append(value)
     return tuple(minus), tuple(plus)
 
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import FactorizationIncomplete, NotCppPrime, NotPrime
 from .numtheory import (FAMILY_EXCEPTIONAL, FAMILY_UNCLASSIFIED, Factorization,
-                        catalan_solutions, cyclotomic_value, divisors,
-                        factor, factor_pieces, is_prime,
+                        catalan_solutions, factor, is_prime,
                         multiplicative_order, ppd_exists_above,
                         primitive_prime_divisors)
 from .primegraph import build_graph, components
@@ -398,16 +397,18 @@ def check_pgl2_component_structure(p: int, n: int) -> Report:
     """Prime graph of mu(PGL(2, p^n)): two components, {p} isolated,
     the rest exactly the primes of p^(2n) - 1.
 
-    Those primes come from the pieces Phi_d(p), d | 2n, of p^(2n) - 1.
+    Those primes are read from the spectrum's factorizations of q - 1 and
+    q + 1, which together are p^(2n) - 1.
     """
     if p == 2 or not is_prime(p):
         raise NotPrime(f"{p} must be an odd prime")
     q = p**n
     if q < 5:
         raise ValueError("requires p^n >= 5")
-    part = components(build_graph(mu_pgl2(p, n)))
-    pieces = [cyclotomic_value(d, p) for d in divisors(2 * n)]
-    pi1_expected = set(factor_pieces(pieces).require_complete().primes())
+    s = mu_pgl2(p, n)
+    part = components(build_graph(s))
+    pi1_expected = set(s.factorization(q - 1).require_complete().primes())
+    pi1_expected |= set(s.factorization(q + 1).require_complete().primes())
     got: list[set[int]] = [set(c) for c in part.components]
     passed = (part.t == 2 and got[1] == {p} and got[0] == pi1_expected)
     report = Report(f"pgl2 component structure p={p} n={n}")

@@ -210,7 +210,11 @@ def test_factor_pieces_merges_counts_and_probable_primes():
 
 def test_factor_pieces_incomplete_multiplies_stuck_cofactors():
     hard = 999999999999989 * 999998999999977
-    f = nt.factor_pieces((hard, 10, hard), budget=200)
+    nt.configure(budget=200)
+    try:
+        f = nt.factor_pieces((hard, 10, hard))
+    finally:
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
     assert not f.complete
     assert f.base_n == 10 * hard**2
     assert f.factors == ((2, 1), (5, 1))
@@ -220,8 +224,10 @@ def test_factor_pieces_incomplete_multiplies_stuck_cofactors():
         f.require_complete()
 
 
-def test_divisors_by_pieces():
-    assert nt.divisors(2400, (3, 8, 100)) == nt.divisors(2400)
+def test_divisors_of_merged_pieces():
+    assert nt.factor_pieces((3, 8, 100)).divisors() == nt.divisors(2400)
+    with pytest.raises(FactorizationIncomplete):
+        nt.Factorization(30, ((2, 1),), complete=False, cofactor=15).divisors()
 
 
 def test_divisors_examples():

@@ -155,6 +155,28 @@ def test_pieces_multiply_to_their_orders():
     assert sp.Spectrum(frozenset({12, 5})).pieces_of(12) == (12,)
 
 
+def test_pieces_are_cyclotomic_values_and_factor_nothing(monkeypatch):
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("building a spectrum must not factor")
+
+    cases = [(p, n) for p in (2, 3, 7, 97) for n in (1, 2, 6, 12, 15, 24)]
+    with monkeypatch.context() as m:
+        m.setattr(nt, "factor", no_factoring)
+        built = [(p, n, sp.mu_pgl2(p, n), sp.mu_psl2(p, n)) for p, n in cases]
+    for p, n, s, _ in built:
+        q = p**n
+        assert s.pieces_of(q - 1) == tuple(
+            nt.cyclotomic_value(d, p) for d in nt.divisors(n))
+        assert s.pieces_of(q + 1) == tuple(
+            nt.cyclotomic_value(d, p) for d in nt.divisors(2 * n) if n % d)
+
+
+def test_spectrum_factorization_by_recorded_pieces():
+    s = sp.Spectrum(frozenset({2400, 7}), pieces={2400: (3, 8, 100)})
+    assert s.factorization(2400) == nt.factor(2400)
+    assert s.factorization(7) == nt.factor(7)
+
+
 def test_merged_pieces_equal_whole_factorization(monkeypatch):
     # q - 1, q + 1 and both PSL halves, factored whole and by their
     # cyclotomic pieces; each side starts from an empty cache, so neither
