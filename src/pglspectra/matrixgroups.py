@@ -3,7 +3,10 @@
 This is the independent oracle for the closed-form spectra: fields are
 built from an explicit irreducible modulus and computed in by Zech
 logarithms, and element orders are found by stepping in the field from one
-matrix per conjugacy class.  Nothing here knows the q-1 / p / q+1 formulas.
+companion matrix per orbit of conjugacy classes under scaling by nonzero
+field elements, about q Lucas sequences for GL(2, q) and PGL(2, q); the
+linear orders of the scaled classes are read from logs.  Nothing here knows
+the q-1 / p / q+1 formulas.
 """
 
 from __future__ import annotations
@@ -277,16 +280,49 @@ def _companion_power(t: int, d: int, ctx: FieldCtx) -> tuple[int, int]:
     return k, ctx.mul(minus_d, prev)
 
 
+def _class_orders(family: str, ctx: FieldCtx) -> set[int]:
+    """Every element order of the family over ctx, not only the maximal ones.
+
+    One Lucas sequence per orbit representative, as omega_bruteforce says.
+    """
+    q = ctx.q
+    if family in ("SL2", "PSL2"):
+        scalars = {1, ctx.neg(1)}
+        reps = [(t, 1) for t in range(q)]
+    else:
+        scalars = range(1, q)
+        reps = [(1, d) for d in range(1, q)] + [(0, 1)]
+        if q % 2:
+            reps.append((0, ctx._exp[1]))
+    powers = {_companion_power(t, d, ctx) for t, d in reps}
+    if family in ("PGL2", "PSL2"):
+        return {1} | {k for k, _ in powers}
+    log = ctx._log
+    orders = {(q - 1) // gcd(q - 1, log[a]) for a in scalars}
+    if family == "SL2":
+        return orders | {k * ((q - 1) // gcd(q - 1, log[lam])) for k, lam in powers}
+    for k, lam in powers:
+        orders.update(k * ((q - 1) // gcd(q - 1, j * k + log[lam])) for j in range(q - 1))
+    return orders
+
+
 def omega_bruteforce(family: str, p: int, n: int,
                      cap: int = DEFAULT_ENUM_CAP):
-    """Spectrum of GL/SL/PGL/PSL(2, p^n) from one matrix per conjugacy class.
+    """Spectrum of GL/SL/PGL/PSL(2, p^n) from one matrix per scaling orbit.
 
     Order is a class function, and a non-scalar 2x2 matrix is conjugate to
-    the companion matrix of its characteristic polynomial x^2 - t x + d: the
-    orders are those of the scalars aI and the companion matrices for all t
-    and d != 0, with det 1 (a^2 = 1, d = 1) for SL2 and PSL2.  Where C^k =
-    lam * I first, the projective order is k and the linear one k * ord(lam).
-    PSL2 takes projective orders of SL(2, q), whose only scalars are +-I.  No
+    the companion matrix C of its characteristic polynomial x^2 - t x + d.
+    Where C^k = lam * I first, the projective order is k and the linear one
+    k * ord(lam).  Scaling by c != 0 maps the class of C(t, d) to that of
+    C(c t, c^2 d), with the same projective order k, and (cC)^k = c^k lam I.
+    Every (t, d), d != 0, has one of these in its orbit: (1, d) for d != 0
+    (take c = 1/t), (0, 1), or (0, g) for the primitive element g, a
+    non-square, when q is odd.  So GL2 and PGL2 step about q sequences
+    instead of q^2: PGL2 takes each k, and GL2 takes k * ord(c^k lam) for
+    every c = g^j, read from logs as (q-1)/gcd(q-1, j k + log lam).  Only
+    c = +-1 keeps d = 1, so SL2 and PSL2 step (t, 1) for all t.  The
+    scalars aI, with a^2 = 1 for SL2 and PSL2, have linear order ord(a) and
+    projective order 1; PSL2 takes projective orders of SL(2, q).  No
     formula in q is used, so the result checks the closed forms in spectra.
     """
     from .spectra import maximal_elements  # local to avoid import cycle
@@ -300,19 +336,9 @@ def omega_bruteforce(family: str, p: int, n: int,
         raise CapExceeded(f"q={q} exceeds enumeration cap {cap}")
     ctx = field_ctx(p, n, degree_cap=max(n, DEFAULT_FIELD_DEGREE_CAP),
                     size_cap=max(q, DEFAULT_FIELD_SIZE_CAP))
-    if family in ("SL2", "PSL2"):
-        scalars, dets = {1, ctx.neg(1)}, (1,)
-    else:
-        scalars = dets = range(1, q)
-    powers = [(1, a) for a in scalars]
-    powers += [_companion_power(t, d, ctx) for d in dets for t in range(q)]
-    if family in ("GL2", "SL2"):  # ord(lam) = (q-1)/gcd(q-1, log lam)
-        orders = {k * ((q - 1) // gcd(q - 1, ctx._log[lam])) for k, lam in powers}
-    else:
-        orders = {k for k, _ in powers}
     label = {"GL2": f"GL(2,{q})", "SL2": f"SL(2,{q})",
              "PGL2": f"PGL(2,{q})", "PSL2": f"PSL(2,{q})"}[family]
-    return maximal_elements(orders, label=f"{label} enumerated")
+    return maximal_elements(_class_orders(family, ctx), label=f"{label} enumerated")
 
 
 def enumerate_sl2(ctx: FieldCtx) -> list[tuple[int, int, int, int]]:

@@ -39,14 +39,32 @@ class Spectrum:
                                                compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.mu:
-            raise ValueError("spectrum must be nonempty")
-        if any(m < 1 for m in self.mu):
-            raise ValueError("orders must be positive")
+        self._check_orders()
         for m in self.mu:
             for k in self.mu:
                 if m != k and k % m == 0:
                     raise ValueError(f"{m} divides {k}: mu is not an antichain")
+
+    def _check_orders(self):
+        if not self.mu:
+            raise ValueError("spectrum must be nonempty")
+        if any(m < 1 for m in self.mu):
+            raise ValueError("orders must be positive")
+
+    @classmethod
+    def _of_antichain(cls, mu: frozenset[int], label: str = "",
+                      pieces=None) -> "Spectrum":
+        """A spectrum whose builder has already proved mu an antichain.
+
+        It skips the constructor's O(|mu|^2) pairwise re-check, which
+        dominates for large mu (S_n, A_n), and keeps the other checks.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "mu", mu)
+        object.__setattr__(s, "label", label)
+        object.__setattr__(s, "pieces", pieces or {})
+        s._check_orders()
+        return s
 
     def sorted_mu(self) -> list[int]:
         return sorted(self.mu)
@@ -69,7 +87,7 @@ def maximal_elements(orders, label: str = "", pieces=None) -> Spectrum:
     if not values:
         raise ValueError("empty order set")
     mu = {m for m in values if not any(k != m and k % m == 0 for k in values)}
-    return Spectrum(frozenset(mu), label, pieces or {})
+    return Spectrum._of_antichain(frozenset(mu), label, pieces)
 
 
 def omega_closure(s: Spectrum) -> list[int]:
@@ -160,8 +178,9 @@ def _divisor_closed_mu(orders, n: int, label: str) -> Spectrum:
     divisible by some m*p, and every prime of an order is at most n.
     """
     primes = primes_below(n + 1)
-    return Spectrum(frozenset(m for m in orders
-                              if not any(m * p in orders for p in primes)), label)
+    return Spectrum._of_antichain(
+        frozenset(m for m in orders if not any(m * p in orders for p in primes)),
+        label)
 
 
 def omega_symmetric(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Spectrum:

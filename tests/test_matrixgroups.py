@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -314,3 +315,58 @@ def test_binary_octahedral_witness_is_pinned():
     w = mg.find_binary_octahedral_subgroup(seed=0)
     assert w.generators == ((3, 5, 4, 0), (3, 1, 1, 3))
     assert w.order_counts == ((1, 1), (2, 1), (3, 8), (4, 18), (6, 8), (8, 12))
+
+
+# --- scaling orbits against one sequence per characteristic polynomial ---------------
+
+def orders_by_char_poly(family, ctx):
+    """Element orders from every scalar and one companion matrix per (t, d).
+
+    The oracle for the orbit representatives of mg._class_orders: it steps a
+    Lucas sequence for each of the q (q - 1) characteristic polynomials of
+    GL(2, q), or the q with d = 1 for SL2 and PSL2, with no scaling argument.
+    """
+    q = ctx.q
+    if family in ("SL2", "PSL2"):
+        scalars, dets = {1, ctx.neg(1)}, (1,)
+    else:
+        scalars = dets = range(1, q)
+    powers = [(1, a) for a in scalars]
+    powers += [mg._companion_power(t, d, ctx) for d in dets for t in range(q)]
+    if family in ("GL2", "SL2"):  # ord(lam) = (q-1)/gcd(q-1, log lam)
+        return {k * ((q - 1) // gcd(q - 1, ctx._log[lam])) for k, lam in powers}
+    return {k for k, _ in powers}
+
+
+PRIME_POWERS_TO_32 = [(p, n) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                      for n in range(1, 6) if p**n <= 32]
+
+
+@pytest.mark.parametrize("p,n", PRIME_POWERS_TO_32)
+def test_scaling_orbits_match_every_characteristic_polynomial(p, n):
+    ctx = mg.field_ctx(p, n, degree_cap=5)
+    for family in mg.FAMILIES:
+        # every element order, not only the maximal ones: an orbit lost to a
+        # bad representative can hide below a maximal order
+        assert mg._class_orders(family, ctx) == orders_by_char_poly(family, ctx), family
+        assert mg.omega_bruteforce(family, p, n).mu == \
+            sp.maximal_elements(orders_by_char_poly(family, ctx)).mu, family
+
+
+def mu_gl2(p, n):
+    q = p**n
+    return sp.maximal_elements({q * q - 1, p * (q - 1)}).mu
+
+
+def mu_sl2(p, n):
+    q = p**n
+    return sp.maximal_elements({q - 1, q + 1, p * gcd(2, q - 1)}).mu
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (3, 5), (2, 8)])
+def test_oracle_agrees_with_closed_forms_at_larger_q(p, n):
+    q = p**n
+    assert mg.omega_bruteforce("PGL2", p, n, cap=q).mu == sp.mu_pgl2(p, n).mu
+    assert mg.omega_bruteforce("PSL2", p, n, cap=q).mu == sp.mu_psl2(p, n).mu
+    assert mg.omega_bruteforce("GL2", p, n, cap=q).mu == mu_gl2(p, n)
+    assert mg.omega_bruteforce("SL2", p, n, cap=q).mu == mu_sl2(p, n)

@@ -106,6 +106,20 @@ def test_spectrum_allows_trivial():
     assert sp.Spectrum(frozenset({1})).sorted_mu() == [1]
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_builders_prove_the_antichain_they_skip_checking(n):
+    # maximal_elements and the S_n / A_n builders skip the constructor's
+    # pairwise antichain check; the public constructor must accept their mu
+    for s in (sp.omega_symmetric(n), sp.omega_alternating(n),
+              sp.maximal_elements(range(1, 10 * n))):
+        assert sp.Spectrum(s.mu, s.label) == s
+    # the cheap checks stay on the private path
+    with pytest.raises(ValueError):
+        sp.Spectrum._of_antichain(frozenset())
+    with pytest.raises(ValueError):
+        sp.maximal_elements({-3, 2})
+
+
 def test_maximal_elements_examples():
     assert sp.maximal_elements({1, 2, 3, 4, 5, 8, 10}).mu == {3, 8, 10}
     assert sp.maximal_elements({1}).mu == {1}
