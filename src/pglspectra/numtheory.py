@@ -15,6 +15,17 @@ that core:
 The same identity, a^n - 1 = prod over d | n of Phi_d(a), lets callers
 that know an order as a product of such pieces factor it piece by piece
 (factor_pieces) instead of whole.
+
+Every prime s of Phi_d(a) divides d or is 1 (mod d): if s does not divide
+d, then a has order exactly d mod s, so d | s - 1.  factor() uses that
+congruence when the caller has proved it and says so by passing the number
+as a _Congruent (the closed-form pieces Phi_d(p) of spectra, and the
+stripped Phi_n(a) of primitive_prime_divisors).  With e = lcm(2, k) every
+prime not dividing k is odd and 1 (mod e), so after the primes of k are
+divided out, trial division needs only the r = 1 (mod e), and rho iterates
+x -> x^e + c (Brent & Pollard, Math. Comp. 36, 1981): x -> x^e is e-to-1
+on the units mod such a prime, so the walk lives on about s/e values and
+its expected length falls by about sqrt(e).
 """
 
 from __future__ import annotations
@@ -186,8 +197,38 @@ class Factorization:
         return "*".join(parts)
 
 
-def _pollard_rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
-    """One randomized Brent-cycle rho attempt: (nontrivial factor | None, evals used)."""
+class _Congruent(int):
+    """An integer each of whose primes divides `modulus` or is 1 (mod modulus).
+
+    Only callers that have proved the congruence build one: the cyclotomic
+    pieces Phi_d(p) of the PGL/PSL(2, q) closed forms carry d, the stripped
+    Phi_n(a) carries n.  factor() reads the modulus to choose its trial
+    divisors and rho map; to everything else it is the plain integer.  A
+    wrong modulus would make factor() unsound, so it is never taken from
+    outside the program.
+    """
+
+    def __new__(cls, value: int, modulus: int):
+        self = super().__new__(cls, value)
+        self.modulus = modulus
+        return self
+
+
+def _candidates(k: int, stop: int) -> range:
+    """The r = 1 (mod lcm(2, k)) with 1 < r < stop, ascending.
+
+    For k >= 2 every prime that is 1 (mod k) is among them (it is odd).
+    Used as trial divisors in ascending order, a composite candidate never
+    divides: its primes are smaller candidates, already divided out, or
+    primes that cannot occur in the number at all.
+    """
+    e = math.lcm(2, k)
+    return range(e + 1, stop, e)
+
+
+def _pollard_rho_brent(n: int, rng: random.Random, budget: int,
+                       e: int = 2) -> tuple[int | None, int]:
+    """One randomized Brent-cycle rho attempt on x -> x^e + c: (factor | None, evals used)."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -196,15 +237,24 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | N
     x = ys = y
     while g == 1:
         x = y
-        for _ in range(r):
-            y = (y * y + c) % n
+        if e == 2:
+            for _ in range(r):
+                y = (y * y + c) % n
+        else:
+            for _ in range(r):
+                y = (pow(y, e, n) + c) % n
         used += r
         k = 0
         while k < r and g == 1:
             ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
+            if e == 2:
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+            else:
+                for _ in range(min(m, r - k)):
+                    y = (pow(y, e, n) + c) % n
+                    q = q * abs(x - y) % n
             g = math.gcd(q, n)
             k += m
         used += min(r, k)
@@ -214,7 +264,7 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int) -> tuple[int | N
     if g == n:
         # the batched gcd overshot; replay one step at a time
         while True:
-            ys = (ys * ys + c) % n
+            ys = (pow(ys, e, n) + c) % n
             used += 1
             g = math.gcd(abs(x - ys), n)
             if g > 1:
@@ -250,10 +300,21 @@ def factor(n: int, *, bound: int | None = None, budget: int | None = None,
 
     Never raises on hard input: if the per-cofactor iteration budget runs
     out, the partial result is returned with complete=False and the
-    unfactored cofactor recorded.
+    unfactored cofactor recorded.  The budget counts map evaluations.
+
+    When n is a _Congruent with modulus k (see the module docstring), the
+    primes of k are divided out first, whatever their size; every other
+    prime is then 1 (mod e), e = lcm(2, k).  Trial division takes only the
+    r = 1 (mod e) below `bound` (or the primes below it, when those are
+    fewer), so every prime below `bound` that can divide n is still divided
+    out, and a cofactor below bound^2 is still prime.  Rho iterates
+    x -> x^e + c.  Without a congruence e = 2: all primes below `bound`
+    and x -> x^2 + c.
     """
     if n < 1:
         raise ValueError("factor requires n >= 1")
+    k = n.modulus if type(n) is _Congruent else 1
+    n = int(n)
     cached = _COMPLETE_CACHE.get(n)
     if cached is not None:
         return cached
@@ -264,7 +325,18 @@ def factor(n: int, *, bound: int | None = None, budget: int | None = None,
     counts: Counter[int] = Counter()
     probable: set[int] = set()
     m = n
-    for p in primes_below(bound):
+    e = math.lcm(2, k)
+    for r in range(2, k + 1):
+        # the divisors of k, ascending: a composite one never divides, as
+        # its primes are smaller divisors already divided out
+        if k % r == 0:
+            while m % r == 0:
+                counts[r] += 1
+                m //= r
+    trial = primes_below(bound)
+    if bound // e < len(trial):
+        trial = _candidates(k, bound)
+    for p in trial:
         if p * p > m:
             break
         while m % p == 0:
@@ -296,7 +368,7 @@ def factor(n: int, *, bound: int | None = None, budget: int | None = None,
         rng = random.Random(f"{seed}:{c}")
         left = budget
         while left > 0:
-            d, used = _pollard_rho_brent(c, rng, left)
+            d, used = _pollard_rho_brent(c, rng, left, e)
             left -= used
             if d is not None:
                 settle(d, mult)
@@ -506,7 +578,7 @@ def primitive_prime_divisors(a: int, n: int, **factor_opts) -> PpdReport:
     if a < 2 or n < 1:
         raise ValueError("need a >= 2 and n >= 1")
     value, _ = _stripped_cyclotomic(a, n)
-    f = factor(value, **factor_opts)
+    f = factor(_Congruent(value, n), **factor_opts)
     return PpdReport(
         a=a, n=n, primitive_primes=frozenset(f.primes()),
         exception=zsigmondy_exception(a, n),
@@ -521,11 +593,11 @@ def ppd_exists_above(a: int, n: int, q: int) -> PpdReport:
     Phi_n(a) are exactly the primitive prime divisors (see
     _stripped_cyclotomic), so after dividing out all of them <= q, a
     residual > 1 is equivalent to the existence of a primitive prime
-    divisor > q.  Those primes are all 1 (mod n), so the trial divisors are
-    r = 1 + k*n <= q, ascending: a composite r never divides, since its
-    primes are smaller candidates already divided out.  Once r^2 exceeds
-    the residual, the residual is 1 or a prime, which is divided out too
-    if it is <= q.  Memory stays O(1) and the steps number about q/n.
+    divisor > q.  Those primes are all odd and 1 (mod n), so the trial
+    divisors are the r = 1 (mod lcm(2, n)) up to q, ascending (_candidates).
+    Once r^2 exceeds the residual, the residual is 1 or a prime, which is
+    divided out too if it is <= q.  Memory stays O(1) and the steps number
+    about q/lcm(2, n).
 
     When q < n the stripped primes of n may exceed q, so as a
     belt-and-braces measure they are re-checked for primitivity by the
@@ -536,7 +608,7 @@ def ppd_exists_above(a: int, n: int, q: int) -> PpdReport:
         raise ValueError("need a >= 2, n >= 2, q >= 2")
     value, n_primes = _stripped_cyclotomic(a, n)
     found: set[int] = set()
-    for r in range(n + 1, q + 1, n):
+    for r in _candidates(n, q + 1):
         if r * r > value:
             if 1 < value <= q:
                 found.add(value)

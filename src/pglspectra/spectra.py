@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadAction, CapExceeded, NotPrime
-from .numtheory import Factorization, factor_pieces, is_prime, primes_below
+from .numtheory import (Factorization, _Congruent, factor_pieces, is_prime,
+                        primes_below)
 
 DEFAULT_PARTITION_CAP = 40
 DEFAULT_GROUP_CAP = 100_000
@@ -30,7 +31,9 @@ class Spectrum:
     cyclotomic values Phi_d(p) of q - 1 and q + 1; factorization(m) factors
     those pieces (numtheory.factor_pieces) instead of the order whole.  An
     order without an entry is its own single piece.  Building a spectrum
-    factors nothing: the closed forms get their pieces by exact division.
+    factors nothing: the closed forms get their pieces by exact division,
+    and record each piece's d with it (numtheory._Congruent), since every
+    prime of Phi_d(p), halved or not, divides d or is 1 (mod d).
     """
 
     mu: frozenset[int]
@@ -71,11 +74,11 @@ class Spectrum:
 
     def pieces_of(self, m: int) -> tuple[int, ...]:
         """Factors whose product is the order m: its recorded pieces, or (m,)."""
-        return self.pieces.get(m, (m,))
+        return tuple(map(int, self.pieces.get(m, (m,))))
 
     def factorization(self, m: int) -> Factorization:
         """The factorization of the order m, merged from its pieces."""
-        return factor_pieces(self.pieces_of(m))
+        return factor_pieces(self.pieces.get(m, (m,)))
 
 
 def maximal_elements(orders, label: str = "", pieces=None) -> Spectrum:
@@ -104,7 +107,7 @@ def _q_pm_1_pieces(p: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     q - 1 is the product over d | n, and q + 1 = (q^2 - 1)/(q - 1) the
     product over the d | 2n that do not divide n.  Taking d ascending, each
     Phi_d(p) is p^d - 1 divided by the Phi_e(p) already found for e | d,
-    e < d, so nothing is factored.
+    e < d, so nothing is factored.  Each piece carries its d.
     """
     phi: dict[int, int] = {}
     minus, plus = [], []
@@ -116,7 +119,7 @@ def _q_pm_1_pieces(p: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             if d % e == 0:
                 value //= v
         phi[d] = value
-        (minus if n % d == 0 else plus).append(value)
+        (minus if n % d == 0 else plus).append(_Congruent(value, d))
     return tuple(minus), tuple(plus)
 
 
@@ -132,9 +135,10 @@ def mu_pgl2(p: int, n: int) -> Spectrum:
                             pieces={q - 1: minus, q + 1: plus})
 
 
-def _halve_first_even(pieces: tuple[int, ...]) -> tuple[int, ...]:
+def _halve_first_even(pieces: tuple[_Congruent, ...]) -> tuple[_Congruent, ...]:
     i = next(i for i, v in enumerate(pieces) if v % 2 == 0)
-    return pieces[:i] + (pieces[i] // 2,) + pieces[i + 1:]
+    half = _Congruent(pieces[i] // 2, pieces[i].modulus)
+    return pieces[:i] + (half,) + pieces[i + 1:]
 
 
 def mu_psl2(p: int, n: int) -> Spectrum:

@@ -194,6 +194,22 @@ def test_graph_pgl2_97_24_completes(capsys):
     assert r["t"] == 2
 
 
+def test_graph_pgl2_97_25_completes(capsys):
+    # a piece of 97^50 - 1 leaves a 32-digit cofactor that rho on
+    # x -> x^2 + c does not split at the default budget; every prime of
+    # Phi_d(97) divides d or is 1 (mod d), and rho on x -> x^(2d) + c does
+    sympy = pytest.importorskip("sympy")
+    code, doc, _ = run_json(capsys, "graph", "pgl2", "97", "25")
+    assert code == 0
+    pi1: set[int] = set()  # the primes of 97^50 - 1, piece by piece
+    for d in sympy.divisors(50):
+        pi1 |= set(sympy.factorint(int(sympy.cyclotomic_poly(d, 97))))
+    r = doc["result"]
+    assert r["vertices"] == sorted(pi1 | {97})
+    assert r["components"] == [sorted(pi1), [97]]
+    assert r["t"] == 2
+
+
 def test_cap_exhaustion_exit_3(capsys):
     code, _, err = run(capsys, "--cap", "10", "oracle", "pgl2", "5", "2")
     assert code == 3

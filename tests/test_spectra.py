@@ -209,6 +209,46 @@ def test_merged_pieces_equal_whole_factorization(monkeypatch):
                     assert merged.complete
 
 
+PAPER_BASES = (2, 3, 5, 7, 13, 17, 19, 37, 73, 97)
+
+
+def _recorded_pieces():
+    """(label, piece) for every piece mu_pgl2/mu_psl2 record, n <= 16."""
+    for p in PAPER_BASES:
+        for n in range(1, 17):
+            for s in (sp.mu_pgl2(p, n), sp.mu_psl2(p, n)):
+                for pieces in s.pieces.values():
+                    for v in pieces:
+                        yield s.label, v
+
+
+def test_recorded_pieces_satisfy_their_congruence():
+    # every prime of a piece Phi_d(p), PSL halves included, divides d or is
+    # 1 (mod d); a prime 2 only occurs for d a power of 2
+    sympy = pytest.importorskip("sympy")
+    for label, v in _recorded_pieces():
+        d = v.modulus
+        for r in sympy.factorint(int(v)):
+            assert d % r == 0 or r % d == 1 % d, (label, d, r)
+            assert r != 2 or d & (d - 1) == 0, (label, d)
+
+
+def test_congruence_path_matches_plain_factor(monkeypatch):
+    # the recorded pieces and the stripped Phi_n(a), factored with and
+    # without their congruence, each from an empty cache
+    cache: dict = {}
+    monkeypatch.setattr(nt, "_COMPLETE_CACHE", cache)
+    congruent = [v for _, v in _recorded_pieces()]
+    congruent += [nt._Congruent(nt._stripped_cyclotomic(a, n)[0], n)
+                  for a in PAPER_BASES for n in range(1, 17)]
+    for v in congruent:
+        cache.clear()
+        plain = nt.factor(int(v))
+        cache.clear()
+        assert nt.factor(v) == plain, (int(v), v.modulus)
+        assert plain.complete
+
+
 def test_omega_closure_by_pieces_matches_whole_divisors():
     for p, n in ((7, 4), (13, 3), (2, 6), (3, 5)):
         for s in (sp.mu_pgl2(p, n), sp.mu_psl2(p, n)):
