@@ -227,7 +227,7 @@ def _candidates(k: int, stop: int) -> range:
 
 
 def _pollard_rho_brent(n: int, rng: random.Random, budget: int,
-                       e: int = 2) -> tuple[int | None, int]:
+                       e: int) -> tuple[int | None, int]:
     """One randomized Brent-cycle rho attempt on x -> x^e + c: (factor | None, evals used)."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
