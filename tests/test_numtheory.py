@@ -361,6 +361,24 @@ def test_ppd_matches_set_difference_reference_grid():
             assert (rep.exception != nt.EXCEPTION_NONE) == (n > 1 and not primes), (a, n)
 
 
+def test_budget_charges_the_multiplications_of_each_step(monkeypatch):
+    # the stripped Phi_23(37) is 47 * 1845029930335901 * 375176717285846681,
+    # so rho on x -> x^46 + c runs out of budget; each step costs the 7
+    # multiplications of pow(x, 46, n), so it takes about budget / 7 steps
+    calls = 0
+
+    def counting_pow(*args):
+        nonlocal calls
+        calls += 1
+        return pow(*args)
+
+    monkeypatch.setattr(nt, "pow", counting_pow, raising=False)
+    budget = 20000
+    rep = nt.primitive_prime_divisors(37, 23, budget=budget)
+    assert not rep.complete
+    assert calls <= 2 * budget // 7 + 256
+
+
 def test_ppd_completes_where_lower_a_i_minus_1_are_hard():
     # Phi_60(7) and Phi_40(13) split at once, although some 7^i - 1 with
     # i < 60 and 13^i - 1 with i < 40 do not split within these budgets

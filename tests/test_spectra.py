@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,14 @@ def test_congruence_path_matches_plain_factor(monkeypatch):
         cache.clear()
         assert nt.factor(v) == plain, (int(v), v.modulus)
         assert plain.complete
+
+
+def test_spectrum_copies_keep_piece_moduli():
+    s = sp.mu_pgl2(7, 4)
+    for c in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert c == s
+        for m, pieces in s.pieces.items():
+            assert [v.modulus for v in c.pieces[m]] == [v.modulus for v in pieces]
 
 
 def test_omega_closure_by_pieces_matches_whole_divisors():
