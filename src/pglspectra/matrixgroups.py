@@ -19,6 +19,7 @@ from math import gcd
 
 from .errors import CapExceeded, NotPrime
 from .numtheory import is_prime
+from .spectra import maximal_elements
 
 DEFAULT_FIELD_DEGREE_CAP = 4
 DEFAULT_FIELD_SIZE_CAP = 10**4
@@ -325,8 +326,6 @@ def omega_bruteforce(family: str, p: int, n: int,
     projective order 1; PSL2 takes projective orders of SL(2, q).  No
     formula in q is used, so the result checks the closed forms in spectra.
     """
-    from .spectra import maximal_elements  # local to avoid import cycle
-
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if not is_prime(p):

@@ -12,9 +12,11 @@ that core:
     that never factors anything big: it trial divides the stripped
     Phi_n(a) by the r = 1 (mod n) up to q and looks at what is left.
 
-The same identity, a^n - 1 = prod over d | n of Phi_d(a), lets callers
-that know an order as a product of such pieces factor it piece by piece
-(factor_pieces) instead of whole.
+Every Phi_d(a) comes from one routine, _cyclotomic_pieces, by the same
+identity read upwards: taking the d | m ascending, Phi_d(a) is a^d - 1
+divided exactly by the Phi_e(a) already found for e | d, e < d.  It gives
+cyclotomic_value, and the pieces Phi_d(p) of q -+ 1 in spectra, whose
+orders are then factored piece by piece (factor_pieces) instead of whole.
 
 Every prime s of Phi_d(a) divides d or is 1 (mod d): if s does not divide
 d, then a has order exactly d mod s, so d | s - 1.  factor() uses that
@@ -305,9 +307,27 @@ def _as_perfect_power(n: int) -> tuple[int, int] | None:
 _COMPLETE_CACHE: dict[int, Factorization] = {}
 
 
-def factor(n: int, *, bound: int | None = None, budget: int | None = None,
+def _factorization(n: int, counts: Counter[int], probable: set[int],
+                   cofactor: int) -> Factorization:
+    """The Factorization of n from its prime counts and the unfactored cofactor.
+
+    It is complete iff cofactor == 1, and a complete one is cached under n.
+    """
+    result = Factorization(
+        base_n=n,
+        factors=tuple(sorted(counts.items())),
+        complete=cofactor == 1,
+        cofactor=cofactor,
+        probable=tuple(sorted(probable)),
+    )
+    if result.complete and len(_COMPLETE_CACHE) < 200_000:
+        _COMPLETE_CACHE[n] = result
+    return result
+
+
+def factor(n: int, *, budget: int | None = None,
            seed: int | None = None) -> Factorization:
-    """Factor n >= 1: trial division below `bound`, then Brent/Pollard rho.
+    """Factor n >= 1: trial division below DEFAULT_TRIAL_BOUND, then Brent/Pollard rho.
 
     Never raises on hard input: if the per-cofactor budget runs out, the
     partial result is returned with complete=False and the unfactored
@@ -315,14 +335,15 @@ def factor(n: int, *, bound: int | None = None, budget: int | None = None,
     one per step of x -> x^2 + c, and as many per step of x -> x^e + c as
     pow(x, e, n) takes, so it bounds the time spent whatever e is.
 
-    When n is a _Congruent with modulus k (see the module docstring), the
-    primes of k below `bound` are divided out first; every other prime
-    below `bound` that can divide n is 1 (mod e), e = lcm(2, k).  Trial
-    division then takes only the r = 1 (mod e) below `bound` (or the
-    primes below it, when those are fewer), so every prime below `bound`
-    that divides n is still divided out, and a cofactor below bound^2 is
-    still prime.  Rho iterates x -> x^e + c.  Without a congruence e = 2:
-    all primes below `bound` and x -> x^2 + c.
+    The trial bound is the constant DEFAULT_TRIAL_BOUND.  When n is a
+    _Congruent with modulus k (see the module docstring), the primes of k
+    below the bound are divided out first; every other prime below the
+    bound that can divide n is 1 (mod e), e = lcm(2, k).  Trial division
+    then takes only the r = 1 (mod e) below the bound (or the primes below
+    it, when those are fewer), so every prime below the bound that divides
+    n is still divided out, and a cofactor below its square is still prime.
+    Rho iterates x -> x^e + c.  Without a congruence e = 2: all primes
+    below the bound and x -> x^2 + c.
     """
     if n < 1:
         raise ValueError("factor requires n >= 1")
@@ -331,7 +352,7 @@ def factor(n: int, *, bound: int | None = None, budget: int | None = None,
     cached = _COMPLETE_CACHE.get(n)
     if cached is not None:
         return cached
-    bound = DEFAULT_TRIAL_BOUND if bound is None else bound
+    bound = DEFAULT_TRIAL_BOUND
     budget = _rho_budget if budget is None else budget
     seed = _seed if seed is None else seed
 
@@ -360,10 +381,6 @@ def factor(n: int, *, bound: int | None = None, budget: int | None = None,
     def settle(c: int, mult: int) -> None:
         # classify c (all prime factors >= bound) recursively
         if c == 1:
-            return
-        if c % 2 == 0:  # only reachable when bound <= 2; rho dislikes even n
-            counts[2] += mult
-            settle(c // 2, mult)
             return
         if c < bound * bound:
             counts[c] += mult  # smallest factor >= bound, so c is prime
@@ -394,16 +411,7 @@ def factor(n: int, *, bound: int | None = None, budget: int | None = None,
     cofactor = 1
     for c, e in stuck.items():
         cofactor *= c**e
-    result = Factorization(
-        base_n=n,
-        factors=tuple(sorted(counts.items())),
-        complete=cofactor == 1,
-        cofactor=cofactor,
-        probable=tuple(sorted(probable)),
-    )
-    if result.complete and len(_COMPLETE_CACHE) < 200_000:
-        _COMPLETE_CACHE[n] = result
-    return result
+    return _factorization(n, counts, probable, cofactor)
 
 
 def factor_pieces(pieces) -> Factorization:
@@ -423,23 +431,12 @@ def factor_pieces(pieces) -> Factorization:
     counts: Counter[int] = Counter()
     probable: set[int] = set()
     cofactor = 1
-    complete = True
     for piece in pieces:
         f = factor(piece)
         counts.update(f.as_dict())
         probable.update(f.probable)
         cofactor *= f.cofactor
-        complete &= f.complete
-    result = Factorization(
-        base_n=n,
-        factors=tuple(sorted(counts.items())),
-        complete=complete,
-        cofactor=cofactor,
-        probable=tuple(sorted(probable)),
-    )
-    if complete and len(_COMPLETE_CACHE) < 200_000:
-        _COMPLETE_CACHE[n] = result
-    return result
+    return _factorization(n, counts, probable, cofactor)
 
 
 def divisors(n: int) -> list[int]:
@@ -485,26 +482,34 @@ def multiplicative_order(a: int, modulus: int) -> int:
     return e
 
 
+def _cyclotomic_pieces(a: int, m: int) -> dict[int, _Congruent]:
+    """Phi_d(a) for every d | m, keyed by d ascending, each tagged with its d.
+
+    Since a^d - 1 = prod over e | d of Phi_e(a), taking d ascending each
+    Phi_d(a) is a^d - 1 divided exactly by the Phi_e(a) already found for
+    e | d, e < d.  The divisors of m come from trial division up to
+    isqrt(m), so nothing is factored.  Every prime of Phi_d(a) divides d or
+    is 1 (mod d) (module docstring), which the tag records.
+    """
+    low = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    phi: dict[int, _Congruent] = {}
+    for d in low + [m // d for d in reversed(low) if d * d != m]:
+        value = a**d - 1
+        for e, v in phi.items():
+            if d % e == 0:
+                value //= v
+        phi[d] = _Congruent(value, d)
+    return phi
+
+
 def cyclotomic_value(n: int, a: int) -> int:
     """Phi_n(a), the n-th cyclotomic polynomial evaluated at a >= 2.
 
-    Computed exactly as prod over d | n of (a^d - 1)^mobius(n/d); the
-    division is exact by construction.
+    Computed exactly by ascending division (_cyclotomic_pieces).
     """
     if n < 1 or a < 2:
         raise ValueError("need n >= 1 and a >= 2")
-    num = den = 1
-    for d in divisors(n):
-        t = a**d - 1
-        mu = mobius(n // d)
-        if mu == 1:
-            num *= t
-        elif mu == -1:
-            den *= t
-    value, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("cyclotomic quotient not exact")
-    return value
+    return int(_cyclotomic_pieces(a, n)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +617,12 @@ def ppd_exists_above(a: int, n: int, q: int) -> PpdReport:
     divided out too if it is <= q.  Memory stays O(1) and the steps number
     about q/lcm(2, n).
 
-    When q < n the stripped primes of n may exceed q, so as a
-    belt-and-braces measure they are re-checked for primitivity by the
-    definition test before being discounted (the check can never fire: a
-    primitive prime divisor is = 1 (mod n) and cannot divide n).
+    A stripped prime of n is never primitive, even when it exceeds q: a
+    primitive prime divisor is 1 (mod n), so it cannot divide n.
     """
     if a < 2 or n < 2 or q < 2:
         raise ValueError("need a >= 2, n >= 2, q >= 2")
-    value, n_primes = _stripped_cyclotomic(a, n)
+    value, _ = _stripped_cyclotomic(a, n)
     found: set[int] = set()
     for r in _candidates(n, q + 1):
         if r * r > value:
@@ -632,11 +635,6 @@ def ppd_exists_above(a: int, n: int, q: int) -> PpdReport:
             while value % r == 0:
                 value //= r
     exists = value > 1
-    if q < n:
-        for r in n_primes:
-            if r > q and is_primitive_prime_divisor(a, n, r):
-                found.add(r)
-                exists = True
     return PpdReport(
         a=a, n=n, primitive_primes=frozenset(found),
         exception=zsigmondy_exception(a, n),

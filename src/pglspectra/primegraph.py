@@ -24,15 +24,6 @@ class PrimeGraph:
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]  # pairs (r, s) with r < s
 
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for r, s in self.edges:
-            if r == v:
-                out.add(s)
-            elif s == v:
-                out.add(r)
-        return out
-
     def is_isolated(self, v: int) -> bool:
         return v in self.vertices and not any(v in e for e in self.edges)
 

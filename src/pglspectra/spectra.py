@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadAction, CapExceeded, NotPrime
-from .numtheory import (Factorization, _Congruent, factor_pieces, is_prime,
-                        primes_below)
+from .numtheory import (Factorization, _Congruent, _cyclotomic_pieces,
+                        factor_pieces, is_prime, primes_below)
 
 DEFAULT_PARTITION_CAP = 40
 DEFAULT_GROUP_CAP = 100_000
@@ -102,24 +102,16 @@ def omega_closure(s: Spectrum) -> list[int]:
 
 
 def _q_pm_1_pieces(p: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """q - 1 and q + 1, q = p^n, as their cyclotomic pieces Phi_d(p).
+    """q - 1 and q + 1, q = p^n, as their cyclotomic pieces Phi_d(p), d ascending.
 
     q - 1 is the product over d | n, and q + 1 = (q^2 - 1)/(q - 1) the
-    product over the d | 2n that do not divide n.  Taking d ascending, each
-    Phi_d(p) is p^d - 1 divided by the Phi_e(p) already found for e | d,
-    e < d, so nothing is factored.  Each piece carries its d.
+    product over the d | 2n that do not divide n.  The pieces come by
+    exact division (numtheory._cyclotomic_pieces), so nothing is factored.
+    Each piece carries its d.
     """
-    phi: dict[int, int] = {}
     minus, plus = [], []
-    for d in range(1, 2 * n + 1):
-        if (2 * n) % d:
-            continue
-        value = p**d - 1
-        for e, v in phi.items():
-            if d % e == 0:
-                value //= v
-        phi[d] = value
-        (minus if n % d == 0 else plus).append(_Congruent(value, d))
+    for d, value in _cyclotomic_pieces(p, 2 * n).items():
+        (minus if n % d == 0 else plus).append(value)
     return tuple(minus), tuple(plus)
 
 

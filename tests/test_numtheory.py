@@ -98,6 +98,21 @@ def catalan_by_sieve(value_bound: int) -> list[tuple[int, int, int, int, str]]:
     return out
 
 
+def cyclotomic_by_mobius(n: int, a: int) -> int:
+    """Phi_n(a) as prod over d | n of (a^d - 1)^mobius(n/d), the quotient
+    checked exact; never divides by a lower Phi_e(a)."""
+    num = den = 1
+    for d in nt.divisors(n):
+        mu = nt.mobius(n // d)
+        if mu == 1:
+            num *= a**d - 1
+        elif mu == -1:
+            den *= a**d - 1
+    value, rem = divmod(num, den)
+    assert rem == 0, (n, a)
+    return value
+
+
 # --- primality ---------------------------------------------------------------
 
 def test_is_prime_matches_trial_division_below_3000():
@@ -224,6 +239,25 @@ def test_factor_pieces_incomplete_multiplies_stuck_cofactors():
         f.require_complete()
 
 
+def test_factorizations_are_cached_only_when_complete(monkeypatch):
+    cache: dict = {}
+    monkeypatch.setattr(nt, "_COMPLETE_CACHE", cache)
+    f = nt.factor(2**64 + 1)
+    assert f.complete and nt.factor(2**64 + 1) is f
+    g = nt.factor_pieces((3, 8, 100))
+    assert nt.factor_pieces((3, 8, 100)) is g
+    assert nt.factor(2400) is g
+    hard = 999999999999989 * 999998999999977
+    nt.configure(budget=200)
+    try:
+        incomplete = (nt.factor(hard), nt.factor_pieces((hard, 10, hard)))
+    finally:
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
+    assert not any(r.complete for r in incomplete)
+    assert hard not in cache and 10 * hard**2 not in cache
+    assert all(r.complete for r in cache.values())
+
+
 def test_divisors_of_merged_pieces():
     assert nt.factor_pieces((3, 8, 100)).divisors() == nt.divisors(2400)
     with pytest.raises(FactorizationIncomplete):
@@ -301,6 +335,25 @@ def test_cyclotomic_product_identity_small():
             for d in nt.divisors(n):
                 prod *= nt.cyclotomic_value(d, a)
             assert prod == a**n - 1, (a, n)
+
+
+def test_cyclotomic_value_matches_mobius_product():
+    cases = [(n, a) for a in range(2, 31) for n in range(1, 61)]
+    for n, a in cases + [(720, 2), (360, 7), (126, 73)]:
+        assert nt.cyclotomic_value(n, a) == cyclotomic_by_mobius(n, a), (a, n)
+    for n, a in ((0, 2), (3, 1)):
+        with pytest.raises(ValueError):
+            nt.cyclotomic_value(n, a)
+
+
+def test_cyclotomic_pieces_carry_their_index_as_modulus():
+    for a in (2, 3, 7, 73):
+        for m in (1, 2, 12, 36, 60, 126, 720):
+            pieces = nt._cyclotomic_pieces(a, m)
+            assert list(pieces) == [d for d in range(1, m + 1) if m % d == 0]
+            for d, v in pieces.items():
+                assert type(v) is nt._Congruent and v.modulus == d, (a, m, d)
+                assert v == cyclotomic_by_mobius(d, a), (a, m, d)
 
 
 # --- primitive prime divisors -----------------------------------------------------
