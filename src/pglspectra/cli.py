@@ -8,6 +8,12 @@ machine-readable document with a stable schema:
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 3 enumeration cap or factoring budget exhausted.
+
+Each command's handler, _cmd_<command>(args, diagnostics), appends its
+notes to diagnostics and returns (result, text lines, exit code); main()
+alone writes the output.  _Usage (bad arguments) goes to stderr; a domain
+error (exit 2) or a cap or budget error (exit 3) gives, with --json, a
+document whose result is null.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ import json
 import sys
 
 from . import matrixgroups, numtheory, primegraph, spectra, verify
-from .errors import (BadAction, CapExceeded, FactorizationIncomplete,
-                     NotCoprime, NotCppPrime, NotPrime)
+from .errors import CapExceeded, FactorizationIncomplete, ToolkitError
 
 SCHEMA_VERSION = "1"
 
@@ -106,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (result payload, text lines, exit code, diagnostics)
+# handlers: (args, diagnostics) -> (result payload, text lines, exit code)
 
 def _ppd_payload(rep: numtheory.PpdReport) -> dict:
     out = {
@@ -133,26 +138,20 @@ def _ppd_diag(rep: numtheory.PpdReport, diagnostics: list[str]) -> None:
 def _cmd_ppd(args, diagnostics):
     if args.a < 2 or args.n < 1:
         raise _Usage("need a >= 2 and n >= 1")
-    code = EXIT_OK
+    ns = range(1, args.n + 1) if args.upto else [args.n]
+    reports = [numtheory.primitive_prime_divisors(args.a, i) for i in ns]
+    for rep in reports:
+        _ppd_diag(rep, diagnostics)
+    code = EXIT_OK if all(rep.complete for rep in reports) else EXIT_RESOURCE
     if args.upto:
-        rows, lines = [], []
-        for i in range(1, args.n + 1):
-            rep = numtheory.primitive_prime_divisors(args.a, i)
-            _ppd_diag(rep, diagnostics)
-            if not rep.complete:
-                code = EXIT_RESOURCE
-            rows.append(_ppd_payload(rep))
-            lines.append(f"{i:5d}     {sorted(rep.primitive_primes)}")
-        return {"rows": rows}, lines, code, diagnostics
-    rep = numtheory.primitive_prime_divisors(args.a, args.n)
-    _ppd_diag(rep, diagnostics)
-    if not rep.complete:
-        code = EXIT_RESOURCE
+        lines = [f"{rep.n:5d}     {sorted(rep.primitive_primes)}" for rep in reports]
+        return {"rows": [_ppd_payload(rep) for rep in reports]}, lines, code
+    rep, = reports
     found = ", ".join(str(s) for s in sorted(rep.primitive_primes)) or "(none)"
     lines = [f"primitive prime divisors of {args.a}^{args.n} - 1: {found}"]
     if rep.exception != numtheory.EXCEPTION_NONE:
         lines.append(f"exception: {rep.exception}")
-    return _ppd_payload(rep), lines, code, diagnostics
+    return _ppd_payload(rep), lines, code
 
 
 def _cmd_ppd_above(args, diagnostics):
@@ -164,7 +163,7 @@ def _cmd_ppd_above(args, diagnostics):
         f"primitive prime divisor of {args.a}^{args.n} - 1 above {args.q}: {verdict}",
         f"residual after stripping: {rep.residual}",
     ]
-    return _ppd_payload(rep), lines, EXIT_OK, diagnostics
+    return _ppd_payload(rep), lines, EXIT_OK
 
 
 def _cmd_factor(args, diagnostics):
@@ -179,7 +178,7 @@ def _cmd_factor(args, diagnostics):
         code = EXIT_RESOURCE
     payload = {"n": f.base_n, "factors": [[p, e] for p, e in f.factors],
                "complete": f.complete, "cofactor": f.cofactor}
-    return payload, [f"{args.n} = {f}"], code, diagnostics
+    return payload, [f"{args.n} = {f}"], code
 
 
 def _spectrum_for(family: str, params: list[int], cap: int | None):
@@ -197,29 +196,22 @@ def _spectrum_for(family: str, params: list[int], cap: int | None):
         if len(params) != 3:
             raise _Usage("metacyclic takes: m n k")
         return spectra.omega_metacyclic(*params, cap=cap or spectra.DEFAULT_GROUP_CAP)
-    raise _Usage(f"unsupported family {family}")
+    # f4psi, the last of argparse's choices
+    if len(params) != 1:
+        raise _Usage("f4psi takes: e")
+    e, = params
+    return spectra.maximal_elements(spectra.psi_f4(e), label=f"psi(F4(2^{e}))")
 
 
-def _cmd_mu(args, diagnostics, with_omega: bool):
-    if args.family == "f4psi":
-        if len(args.params) != 1:
-            raise _Usage("f4psi takes: e")
-        values = sorted(spectra.psi_f4(args.params[0]))
-        payload = {"label": f"psi(F4(2^{args.params[0]}))", "mu": values}
-        lines = [payload["label"], "mu: " + " ".join(map(str, values))]
-        if with_omega:
-            omega = sorted({d for v in values for d in numtheory.divisors(v)})
-            payload["omega"] = omega
-            lines.append("omega: " + " ".join(map(str, omega)))
-        return payload, lines, EXIT_OK, diagnostics
+def _cmd_mu(args, diagnostics):
     s = _spectrum_for(args.family, args.params, args.cap)
     payload = {"label": s.label, "mu": s.sorted_mu()}
     lines = [s.label, "mu: " + " ".join(map(str, s.sorted_mu()))]
-    if with_omega:
+    if args.command == "omega":
         omega = spectra.omega_closure(s)
         payload["omega"] = omega
         lines.append("omega: " + " ".join(map(str, omega)))
-    return payload, lines, EXIT_OK, diagnostics
+    return payload, lines, EXIT_OK
 
 
 def _cmd_graph(args, diagnostics):
@@ -236,7 +228,7 @@ def _cmd_graph(args, diagnostics):
     if args.dot:
         dot = primegraph.to_dot(g, part, label=s.label)
         payload["dot"] = dot
-        return payload, [dot.rstrip("\n")], EXIT_OK, diagnostics
+        return payload, [dot.rstrip("\n")], EXIT_OK
     lines = [
         s.label,
         "vertices: " + " ".join(map(str, sorted(g.vertices))),
@@ -244,7 +236,7 @@ def _cmd_graph(args, diagnostics):
         f"components (t={part.t}): " +
         "; ".join(" ".join(map(str, sorted(c))) for c in part.components),
     ]
-    return payload, lines, EXIT_OK, diagnostics
+    return payload, lines, EXIT_OK
 
 
 def _cmd_oracle(args, diagnostics):
@@ -263,8 +255,8 @@ def _cmd_oracle(args, diagnostics):
         lines.append(f"matches closed form {formula.sorted_mu()}: "
                      f"{'yes' if agree else 'NO'}")
         if not agree:
-            return payload, lines, EXIT_VERIFY_FAILED, diagnostics
-    return payload, lines, EXIT_OK, diagnostics
+            return payload, lines, EXIT_VERIFY_FAILED
+    return payload, lines, EXIT_OK
 
 
 def _cmd_catalan(args, diagnostics):
@@ -277,7 +269,7 @@ def _cmd_catalan(args, diagnostics):
     lines = [f"{s.p}^{s.m} = {s.q}^{s.n} + 1 = {s.value}  [{s.family}]"
              for s in sols]
     lines.append(f"{len(sols)} solutions up to {args.bound}")
-    return payload, lines, EXIT_OK, diagnostics
+    return payload, lines, EXIT_OK
 
 
 def _cmd_verify(args, diagnostics):
@@ -309,15 +301,15 @@ def _cmd_verify(args, diagnostics):
     lines.append(summary)
     payload = {"reports": [r.to_payload() for r in reports], "ok": ok,
                "checks": counts, "passed": passed, "errata": errata}
-    return payload, lines, EXIT_OK if ok else EXIT_VERIFY_FAILED, diagnostics
+    return payload, lines, EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 _HANDLERS = {
     "ppd": _cmd_ppd,
     "ppd-above": _cmd_ppd_above,
     "factor": _cmd_factor,
-    "mu": lambda a, d: _cmd_mu(a, d, with_omega=False),
-    "omega": lambda a, d: _cmd_mu(a, d, with_omega=True),
+    "mu": _cmd_mu,
+    "omega": _cmd_mu,
     "graph": _cmd_graph,
     "oracle": _cmd_oracle,
     "catalan": _cmd_catalan,
@@ -350,26 +342,19 @@ def main(argv=None) -> int:
     numtheory.configure(seed=args.seed, budget=args.budget)
     diagnostics: list[str] = []
     try:
-        result, lines, code, diagnostics = _HANDLERS[args.command](args, diagnostics)
+        result, lines, code = _HANDLERS[args.command](args, diagnostics)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotPrime, NotCoprime, BadAction, NotCppPrime, ValueError) as exc:
+    except (ToolkitError, ValueError) as exc:
+        resource = isinstance(exc, (CapExceeded, FactorizationIncomplete))
         if args.json:
+            kind = "resource limit" if resource else "domain error"
             sys.stdout.write(render_document(
-                args.command, _inputs_of(args), None,
-                [f"domain error: {exc}"]))
+                args.command, _inputs_of(args), None, [f"{kind}: {exc}"]))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CapExceeded, FactorizationIncomplete) as exc:
-        if args.json:
-            sys.stdout.write(render_document(
-                args.command, _inputs_of(args), None,
-                [f"resource limit: {exc}"]))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return EXIT_RESOURCE if resource else EXIT_USAGE
     if args.json:
         sys.stdout.write(render_document(
             args.command, _inputs_of(args), result, diagnostics))

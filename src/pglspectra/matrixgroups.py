@@ -234,13 +234,6 @@ class ProjMatrix:
     def __mul__(self, other: "ProjMatrix") -> "ProjMatrix":
         return ProjMatrix(mat_mul(self.entries, other.entries, self.ctx), self.ctx)
 
-    def __eq__(self, other):
-        return (isinstance(other, ProjMatrix)
-                and self.ctx is other.ctx and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash(self.entries)
-
 
 def linear_order(x, ctx: FieldCtx) -> int:
     """Least k >= 1 with x^k the identity matrix."""

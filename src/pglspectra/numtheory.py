@@ -288,8 +288,8 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int,
 
 
 def _as_perfect_power(n: int) -> tuple[int, int] | None:
-    """(root, k) with root**k == n and k >= 2, or None."""
-    for k in range(2, n.bit_length() + 1):
+    """(root, k) with root**k == n and k >= 2 largest (root no perfect power), or None."""
+    for k in range(n.bit_length(), 1, -1):
         lo, hi = 1, 1 << (n.bit_length() // k + 1)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -684,11 +684,7 @@ def _prime_power(u: int) -> tuple[int, int] | None:
         return None
     if u % 2 == 0:
         return (2, u.bit_length() - 1) if u & (u - 1) == 0 else None
-    power = _as_perfect_power(u)
-    base, exp = power if power is not None else (u, 1)
-    while (deeper := _as_perfect_power(base)) is not None:
-        base, k = deeper
-        exp *= k
+    base, exp = _as_perfect_power(u) or (u, 1)
     return (base, exp) if is_prime(base) else None
 
 

@@ -127,22 +127,15 @@ def is_cpp_candidate(s: Spectrum, p: int) -> bool:
     return build_graph(s).is_isolated(p)
 
 
-def to_dot(g: PrimeGraph, part: ComponentPartition | None = None,
-           label: str = "") -> str:
-    """Render the graph in DOT format with stable ascending-prime ordering."""
-    comp_of: dict[int, int] = {}
-    if part is not None:
-        for idx, comp in enumerate(part.components, start=1):
-            for v in comp:
-                comp_of[v] = idx
+def to_dot(g: PrimeGraph, part: ComponentPartition, label: str = "") -> str:
+    """Render the graph in DOT format, ascending, each vertex with its component."""
+    comp_of = {v: idx for idx, comp in enumerate(part.components, start=1)
+               for v in comp}
     lines = ["graph primegraph {"]
     if label:
         lines.append(f'  label="{label}";')
     for v in sorted(g.vertices):
-        if comp_of:
-            lines.append(f'  "{v}" [component={comp_of[v]}];')
-        else:
-            lines.append(f'  "{v}";')
+        lines.append(f'  "{v}" [component={comp_of[v]}];')
     for r, s in sorted(g.edges):
         lines.append(f'  "{r}" -- "{s}";')
     lines.append("}")

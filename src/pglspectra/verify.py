@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import FactorizationIncomplete, NotCppPrime, NotPrime
+from .errors import NotCppPrime, NotPrime
 from .numtheory import (FAMILY_EXCEPTIONAL, FAMILY_UNCLASSIFIED, Factorization,
                         catalan_solutions, factor, is_prime,
                         multiplicative_order, ppd_exists_above,
@@ -301,11 +301,7 @@ def verify_table1() -> Report:
         passed=not bad, detail="" if not bad else f"violations: {bad}"))
     for (p, n), expected in sorted(PPD_TABLE.items()):
         name = f"cell p={p} n={n}"
-        try:
-            got = primitive_prime_divisors(p, n)
-        except FactorizationIncomplete as exc:
-            report.items.append(CheckItem(name, False, f"factorization incomplete: {exc}"))
-            continue
+        got = primitive_prime_divisors(p, n)
         if not got.complete:
             report.items.append(CheckItem(
                 name, False, f"incomplete factorization, partial set {sorted(got.primitive_primes)}"))

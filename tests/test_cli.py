@@ -286,3 +286,47 @@ def test_json_graph_payload(capsys):
     assert r["t"] == 2
     assert r["components"] == [[2, 3, 5, 1201], [7]]
     assert ([2, 3] in r["edges"]) and ([2, 1201] in r["edges"])
+
+
+# --- f4psi as a spectrum, the ppd loop, probable primes ------------------------
+
+def test_omega_f4psi_is_divisor_union_of_psi(capsys):
+    sympy = pytest.importorskip("sympy")
+    from pglspectra import spectra
+    for e in range(1, 7):
+        values = sorted(spectra.psi_f4(e))
+        omega = sorted({d for v in values for d in sympy.divisors(v)})
+        code, doc, _ = run_json(capsys, "omega", "f4psi", str(e))
+        assert code == 0
+        r = doc["result"]
+        assert r["label"] == f"psi(F4(2^{e}))"
+        assert r["mu"] == values
+        assert r["omega"] == omega
+        code, out, _ = run(capsys, "omega", "f4psi", str(e))
+        assert code == 0
+        assert out.splitlines() == [f"psi(F4(2^{e}))",
+                                    "mu: " + " ".join(map(str, values)),
+                                    "omega: " + " ".join(map(str, omega))]
+
+
+def test_ppd_budget_exhaustion_exit_3(capsys, monkeypatch):
+    # an earlier test may have cached the complete factorization of Phi_19(13)
+    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    try:
+        code, _, err = run(capsys, "--budget", "1", "ppd", "13", "19")
+        assert code == 3
+        assert "factoring budget exhausted" in err
+        code, doc, _ = run_json(capsys, "--budget", "1", "ppd", "13", "19", "--upto")
+        assert code == 3
+        rows = doc["result"]["rows"]
+        assert [row["n"] for row in rows] == list(range(1, 20))
+        assert any(row["complete"] is False for row in rows)
+    finally:
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
+
+
+def test_factor_probable_prime_note(capsys):
+    code, out, err = run(capsys, "factor", str(2**89 - 1))
+    assert code == 0
+    assert out == f"{2**89 - 1} = {2**89 - 1}\n"
+    assert "established probabilistically" in err

@@ -548,3 +548,11 @@ def test_catalan_far_beyond_sieving_range():
 def test_catalan_rejects_tiny_bound():
     with pytest.raises(ValueError):
         nt.catalan_solutions(8)
+
+
+def test_prime_power_takes_the_largest_exponent():
+    assert nt._prime_power(3**4) == (3, 4)
+    assert nt._prime_power(7**6) == (7, 6)
+    assert nt._prime_power(15**2) is None
+    # 1000003 is above the trial bound, so factor meets the power whole
+    assert nt.factor(1000003**6).factors == ((1000003, 6),)
