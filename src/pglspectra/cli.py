@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for the Pollard rho restarts "
                              "(default %(default)s)")
     parser.add_argument("--budget", type=int, default=numtheory.DEFAULT_RHO_BUDGET,
-                        help="iteration budget per cofactor for Pollard rho "
+                        help="Pollard rho budget per cofactor, in "
+                             "multiplications mod the cofactor "
                              "(default %(default)s)")
     parser.add_argument("--cap", type=int, default=None,
                         help="size cap: n for sym/alt, m*n for metacyclic, "
@@ -128,11 +129,9 @@ def _ppd_payload(rep: numtheory.PpdReport) -> dict:
     return out
 
 
-def _ppd_diag(rep: numtheory.PpdReport, diagnostics: list[str]) -> None:
-    for s in rep.probable:
+def _note_probable(probable, diagnostics: list[str]) -> None:
+    for s in probable:
         diagnostics.append(f"primality of {s} established probabilistically")
-    if rep.method == numtheory.METHOD_FULL and not rep.complete:
-        diagnostics.append("factoring budget exhausted; the set may be missing primes")
 
 
 def _cmd_ppd(args, diagnostics):
@@ -141,7 +140,9 @@ def _cmd_ppd(args, diagnostics):
     ns = range(1, args.n + 1) if args.upto else [args.n]
     reports = [numtheory.primitive_prime_divisors(args.a, i) for i in ns]
     for rep in reports:
-        _ppd_diag(rep, diagnostics)
+        _note_probable(rep.probable, diagnostics)
+        if not rep.complete:
+            diagnostics.append("factoring budget exhausted; the set may be missing primes")
     code = EXIT_OK if all(rep.complete for rep in reports) else EXIT_RESOURCE
     if args.upto:
         lines = [f"{rep.n:5d}     {sorted(rep.primitive_primes)}" for rep in reports]
@@ -170,8 +171,7 @@ def _cmd_factor(args, diagnostics):
     if args.n < 1:
         raise _Usage("need n >= 1")
     f = numtheory.factor(args.n)
-    for s in f.probable:
-        diagnostics.append(f"primality of {s} established probabilistically")
+    _note_probable(f.probable, diagnostics)
     code = EXIT_OK
     if not f.complete:
         diagnostics.append(f"budget exhausted: cofactor {f.cofactor} unfactored")

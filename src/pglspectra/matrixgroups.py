@@ -25,6 +25,7 @@ DEFAULT_FIELD_DEGREE_CAP = 4
 DEFAULT_FIELD_SIZE_CAP = 10**4
 DEFAULT_ENUM_CAP = 32
 DEFAULT_CLOSURE_CAP = 100_000
+_BINOCT_TRIALS = 20_000  # generator pairs find_binary_octahedral_subgroup tries
 
 FAMILIES = ("GL2", "SL2", "PGL2", "PSL2")
 
@@ -404,8 +405,7 @@ class SubgroupWitness:
         return frozenset(o for o, _ in self.order_counts)
 
 
-def find_binary_octahedral_subgroup(seed: int = 0,
-                                    max_trials: int = 20_000) -> SubgroupWitness:
+def find_binary_octahedral_subgroup(seed: int = 0) -> SubgroupWitness:
     """Search SL(2,7) for a 48-element subgroup with orders {1,2,3,4,6,8}.
 
     Seeded random generator pairs are closed under multiplication (aborting
@@ -417,7 +417,7 @@ def find_binary_octahedral_subgroup(seed: int = 0,
     ctx = field_ctx(7, 1)
     sl2 = enumerate_sl2(ctx)
     rng = random.Random(f"binoct:{seed}")
-    for _ in range(max_trials):
+    for _ in range(_BINOCT_TRIALS):
         x = sl2[rng.randrange(len(sl2))]
         y = sl2[rng.randrange(len(sl2))]
         try:
@@ -433,4 +433,4 @@ def find_binary_octahedral_subgroup(seed: int = 0,
                 elements=tuple(closure),
                 order_counts=tuple(sorted(census.items())),
             )
-    raise RuntimeError(f"no 48-element witness found in {max_trials} trials")
+    raise RuntimeError(f"no 48-element witness found in {_BINOCT_TRIALS} trials")

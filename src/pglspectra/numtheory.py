@@ -15,20 +15,21 @@ that core:
 Every Phi_d(a) comes from one routine, _cyclotomic_pieces, by the same
 identity read upwards: taking the d | m ascending, Phi_d(a) is a^d - 1
 divided exactly by the Phi_e(a) already found for e | d, e < d.  It gives
-cyclotomic_value, and the pieces Phi_d(p) of q -+ 1 in spectra, whose
-orders are then factored piece by piece (factor_pieces) instead of whole.
+cyclotomic_value, and q_pm_1_pieces, the pieces Phi_d(p) of q -+ 1 that
+the spectra closed forms record and factor_pieces factors one by one.
 
 Every prime s of Phi_d(a) divides d or is 1 (mod d): if s does not divide
 d, then a has order exactly d mod s, so d | s - 1.  factor() uses that
-congruence when the caller has proved it and says so by passing the number
-as a _Congruent (the closed-form pieces Phi_d(p) of spectra, and the
-stripped Phi_n(a) of primitive_prime_divisors).  With e = lcm(2, k) every
-prime not dividing k is odd and 1 (mod e), so after the primes of k are
-divided out, trial division needs only the r = 1 (mod e), and rho iterates
-x -> x^e + c (Brent & Pollard, Math. Comp. 36, 1981): x -> x^e is e-to-1
-on the units mod such a prime, so the walk lives on about s/e values and
-its expected length falls by about sqrt(e).  Each step costs the roughly
-log2(e) multiplications of pow(x, e, n), and the rho budget charges them.
+congruence when the number comes as a _Congruent, which only this module
+builds, next to the proof: the pieces of _cyclotomic_pieces and
+q_pm_1_pieces, and the stripped Phi_n(a) of primitive_prime_divisors.
+With e = lcm(2, k) every prime not dividing k is odd and 1 (mod e), so
+after the primes of k are divided out, trial division needs only the
+r = 1 (mod e), and rho iterates x -> x^e + c (Brent & Pollard, Math.
+Comp. 36, 1981): x -> x^e is e-to-1 on the units mod such a prime, so the
+walk lives on about s/e values and its expected length falls by about
+sqrt(e).  Each step costs the roughly log2(e) multiplications of
+pow(x, e, n), and the rho budget charges them.
 """
 
 from __future__ import annotations
@@ -67,15 +68,15 @@ def configure(*, seed: int | None = None, budget: int | None = None) -> None:
 # ---------------------------------------------------------------------------
 # primality
 
-# Exact for n < 3_317_044_064_679_887_385_961_981 (> 2^64) with these bases.
+# Miller-Rabin witnesses: the first 40 primes, fixed so that results stay
+# reproducible run to run.  All 40 are used above the deterministic limit;
+# below it the first 12 are exact (for n < 3_317_044_064_679_887_385_961_981,
+# which exceeds 2^64), and they also screen n by trial division.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+          53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107,
+          109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173)
 _DETERMINISTIC_LIMIT = 1 << 64
-_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Above the deterministic limit: 40 fixed Miller-Rabin witnesses (the first
-# 40 primes), so results stay reproducible run to run.
-_PROBABLE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                   53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107,
-                   109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173)
+_DETERMINISTIC_BASES = _BASES[:12]
 
 
 @dataclass(frozen=True)
@@ -110,14 +111,14 @@ def primality(n: int) -> Primality:
     """Primality of n, recording whether the verdict is only probabilistic."""
     if n < 2:
         return Primality(False, False)
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _DETERMINISTIC_BASES:
         if n == p:
             return Primality(True, False)
         if n % p == 0:
             return Primality(False, False)
     if n < _DETERMINISTIC_LIMIT:
         return Primality(_miller_rabin(n, _DETERMINISTIC_BASES), False)
-    return Primality(_miller_rabin(n, _PROBABLE_BASES), True)
+    return Primality(_miller_rabin(n, _BASES), True)
 
 
 def is_prime(n: int) -> bool:
@@ -203,12 +204,12 @@ class Factorization:
 class _Congruent(int):
     """An integer each of whose primes divides `modulus` or is 1 (mod modulus).
 
-    Only callers that have proved the congruence build one: the cyclotomic
-    pieces Phi_d(p) of the PGL/PSL(2, q) closed forms carry d, the stripped
+    Only this module builds one, where the congruence is proved: a
+    cyclotomic piece Phi_d(a), halved or not, carries d, the stripped
     Phi_n(a) carries n.  factor() reads the modulus to choose its trial
     divisors and rho map; to everything else it is the plain integer.  A
     wrong modulus would make factor() unsound, so it is never taken from
-    outside the program.
+    outside this module.
     """
 
     def __new__(cls, value: int, modulus: int):
@@ -230,6 +231,20 @@ def _candidates(k: int, stop: int) -> range:
     """
     e = math.lcm(2, k)
     return range(e + 1, stop, e)
+
+
+def _divide_out(m: int, trial, counts: Counter[int]) -> int:
+    """m with each trial divisor, ascending, divided out and counted in counts.
+
+    It stops at the first divisor whose square exceeds what is left.
+    """
+    for r in trial:
+        if r * r > m:
+            break
+        while m % r == 0:
+            counts[r] += 1
+            m //= r
+    return m
 
 
 def _pollard_rho_brent(n: int, rng: random.Random, budget: int,
@@ -370,16 +385,12 @@ def factor(n: int, *, budget: int | None = None,
                 m //= r
     if bound // e < len(trial):
         trial = _candidates(k, bound)
-    for p in trial:
-        if p * p > m:
-            break
-        while m % p == 0:
-            counts[p] += 1
-            m //= p
-    stuck: Counter[int] = Counter()
+    m = _divide_out(m, trial, counts)
+    cofactor = 1
 
     def settle(c: int, mult: int) -> None:
         # classify c (all prime factors >= bound) recursively
+        nonlocal cofactor
         if c == 1:
             return
         if c < bound * bound:
@@ -404,13 +415,9 @@ def factor(n: int, *, budget: int | None = None,
                 settle(d, mult)
                 settle(c // d, mult)
                 return
-        stuck[c] += mult
+        cofactor *= c**mult
 
     settle(m, 1)
-
-    cofactor = 1
-    for c, e in stuck.items():
-        cofactor *= c**e
     return _factorization(n, counts, probable, cofactor)
 
 
@@ -500,6 +507,24 @@ def _cyclotomic_pieces(a: int, m: int) -> dict[int, _Congruent]:
                 value //= v
         phi[d] = _Congruent(value, d)
     return phi
+
+
+def q_pm_1_pieces(p: int, n: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(q - 1)/e and (q + 1)/e, q = p^n, as their pieces Phi_d(p), d ascending.
+
+    q - 1 is the product over the d | n, q + 1 = (q^2 - 1)/(q - 1) over the
+    d | 2n that do not divide n (_cyclotomic_pieces), so nothing is
+    factored.  e divides both, so it is 1 or 2; e = 2 halves the first even
+    piece of each.  Every piece is a _Congruent carrying its d, halved too.
+    """
+    minus, plus = [], []
+    for d, value in _cyclotomic_pieces(p, 2 * n).items():
+        (minus if n % d == 0 else plus).append(value)
+    if e == 2:
+        for side in minus, plus:
+            i = next(i for i, v in enumerate(side) if v % 2 == 0)
+            side[i] = _Congruent(side[i] // 2, side[i].modulus)
+    return tuple(minus), tuple(plus)
 
 
 def cyclotomic_value(n: int, a: int) -> int:
@@ -623,17 +648,11 @@ def ppd_exists_above(a: int, n: int, q: int) -> PpdReport:
     if a < 2 or n < 2 or q < 2:
         raise ValueError("need a >= 2, n >= 2, q >= 2")
     value, _ = _stripped_cyclotomic(a, n)
-    found: set[int] = set()
-    for r in _candidates(n, q + 1):
-        if r * r > value:
-            if 1 < value <= q:
-                found.add(value)
-                value = 1
-            break
-        if value % r == 0:
-            found.add(r)
-            while value % r == 0:
-                value //= r
+    found: Counter[int] = Counter()
+    value = _divide_out(value, _candidates(n, q + 1), found)
+    if 1 < value <= q:  # a prime: only after the divisors passed its root
+        found[value] += 1
+        value = 1
     exists = value > 1
     return PpdReport(
         a=a, n=n, primitive_primes=frozenset(found),

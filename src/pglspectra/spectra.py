@@ -3,8 +3,8 @@
 A spectrum (the set of element orders of a finite group) is divisor-closed,
 so it is stored by the antichain of its maximal elements mu; the full set
 omega is recovered on demand by divisor closure.  The PGL/PSL(2, q) closed
-forms also record each order as its cyclotomic pieces Phi_d(p), so that
-consumers factor the pieces, not q -+ 1 whole.
+forms also record each order as its pieces Phi_d(p) (numtheory.q_pm_1_pieces),
+so that consumers factor the pieces, not q -+ 1 whole.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadAction, CapExceeded, NotPrime
-from .numtheory import (Factorization, _Congruent, _cyclotomic_pieces,
-                        factor_pieces, is_prime, primes_below)
+from .numtheory import (Factorization, factor_pieces, is_prime, primes_below,
+                        q_pm_1_pieces)
 
 DEFAULT_PARTITION_CAP = 40
 DEFAULT_GROUP_CAP = 100_000
@@ -31,9 +31,8 @@ class Spectrum:
     cyclotomic values Phi_d(p) of q - 1 and q + 1; factorization(m) factors
     those pieces (numtheory.factor_pieces) instead of the order whole.  An
     order without an entry is its own single piece.  Building a spectrum
-    factors nothing: the closed forms get their pieces by exact division,
-    and record each piece's d with it (numtheory._Congruent), since every
-    prime of Phi_d(p), halved or not, divides d or is 1 (mod d).
+    factors nothing: the closed forms take their pieces, found by exact
+    division and tagged with their d, from numtheory.q_pm_1_pieces.
     """
 
     mu: frozenset[int]
@@ -101,54 +100,31 @@ def omega_closure(s: Spectrum) -> list[int]:
     return sorted(out)
 
 
-def _q_pm_1_pieces(p: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """q - 1 and q + 1, q = p^n, as their cyclotomic pieces Phi_d(p), d ascending.
-
-    q - 1 is the product over d | n, and q + 1 = (q^2 - 1)/(q - 1) the
-    product over the d | 2n that do not divide n.  The pieces come by
-    exact division (numtheory._cyclotomic_pieces), so nothing is factored.
-    Each piece carries its d.
-    """
-    minus, plus = [], []
-    for d, value in _cyclotomic_pieces(p, 2 * n).items():
-        (minus if n % d == 0 else plus).append(value)
-    return tuple(minus), tuple(plus)
+def _mu_projective(p: int, n: int, special: bool) -> Spectrum:
+    """mu of PSL(2, p^n) if special, else of PGL(2, p^n), with the pieces of q -+ 1."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    q = p**n
+    e = math.gcd(2, q - 1) if special else 1
+    minus, plus = q_pm_1_pieces(p, n, e)
+    return maximal_elements({(q - 1) // e, p, (q + 1) // e},
+                            label=f"{'PSL' if special else 'PGL'}(2,{q})",
+                            pieces={(q - 1) // e: minus, (q + 1) // e: plus})
 
 
 def mu_pgl2(p: int, n: int) -> Spectrum:
     """Maximal element orders of PGL(2, p^n): {q - 1, p, q + 1} for q = p^n."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    q = p**n
-    minus, plus = _q_pm_1_pieces(p, n)
-    return maximal_elements({q - 1, p, q + 1}, label=f"PGL(2,{q})",
-                            pieces={q - 1: minus, q + 1: plus})
-
-
-def _halve_first_even(pieces: tuple[_Congruent, ...]) -> tuple[_Congruent, ...]:
-    i = next(i for i, v in enumerate(pieces) if v % 2 == 0)
-    half = _Congruent(pieces[i] // 2, pieces[i].modulus)
-    return pieces[:i] + (half,) + pieces[i + 1:]
+    return _mu_projective(p, n, special=False)
 
 
 def mu_psl2(p: int, n: int) -> Spectrum:
     """Maximal element orders of PSL(2, p^n): {(q-1)/e, p, (q+1)/e}, e = gcd(2, q-1)."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    q = p**n
-    minus, plus = _q_pm_1_pieces(p, n)
-    eps = math.gcd(2, q - 1)
-    if eps == 2:
-        minus, plus = _halve_first_even(minus), _halve_first_even(plus)
-    return maximal_elements({(q - 1) // eps, p, (q + 1) // eps}, label=f"PSL(2,{q})",
-                            pieces={(q - 1) // eps: minus, (q + 1) // eps: plus})
+    return _mu_projective(p, n, special=True)
 
 
-def _prime_power_sums(n: int) -> dict[int, int]:
+def _prime_power_sums(n: int, cap: int) -> dict[int, int]:
     """Map every element order m of S_n to the sum of its prime-power parts.
 
     A permutation of order m needs, for each prime power p^e exactly dividing
@@ -157,6 +133,10 @@ def _prime_power_sums(n: int) -> dict[int, int]:
     (the knapsack behind Landau's function).  Built prime by prime: each
     order found so far takes every power of the next prime that still fits.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds partition cap {cap}")
     sums = {1: 0}
     for p in primes_below(n + 1):
         for m, s in list(sums.items()):
@@ -184,11 +164,7 @@ def omega_symmetric(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Spectrum:
 
     m is an element order iff its prime-power parts sum to at most n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds partition cap {cap}")
-    return _divisor_closed_mu(_prime_power_sums(n), n, label=f"S{n}")
+    return _divisor_closed_mu(_prime_power_sums(n, cap), n, label=f"S{n}")
 
 
 def omega_alternating(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Spectrum:
@@ -200,11 +176,7 @@ def omega_alternating(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Spectrum:
     2-cycle, so m is an order of A_n iff its prime-power parts sum to at
     most n - 2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds partition cap {cap}")
-    orders = {m for m, s in _prime_power_sums(n).items() if m % 2 or s <= n - 2}
+    orders = {m for m, s in _prime_power_sums(n, cap).items() if m % 2 or s <= n - 2}
     return _divisor_closed_mu(orders, n, label=f"A{n}")
 
 

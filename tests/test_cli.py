@@ -4,6 +4,7 @@ import pytest
 
 from pglspectra import cli
 from pglspectra import numtheory as nt
+from pglspectra import spectra
 
 
 def run(capsys, *argv):
@@ -330,3 +331,20 @@ def test_factor_probable_prime_note(capsys):
     assert code == 0
     assert out == f"{2**89 - 1} = {2**89 - 1}\n"
     assert "established probabilistically" in err
+
+
+def test_verify_lemma2_and_all_summaries(capsys):
+    code, out, _ = run(capsys, "verify", "lemma2", "--bound", "1000")
+    assert code == 0
+    assert out.splitlines()[-1] == "2/2 checks passed"
+    code, out, _ = run(capsys, "verify", "all", "--nmax", "8", "--bound", "1000")
+    assert code == 0
+    assert out.splitlines()[-1] == "93/93 checks passed; 2 documented errata reported"
+
+
+def test_oracle_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(spectra, "mu_pgl2",
+                        lambda p, n: spectra.maximal_elements({2, 3}))
+    code, out, _ = run(capsys, "oracle", "pgl2", "3", "2")
+    assert code == 1
+    assert "matches closed form [2, 3]: NO" in out

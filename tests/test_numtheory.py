@@ -356,6 +356,26 @@ def test_cyclotomic_pieces_carry_their_index_as_modulus():
                 assert v == cyclotomic_by_mobius(d, a), (a, m, d)
 
 
+def test_q_pm_1_pieces_pgl_and_psl_forms():
+    for p in (2, 3, 5, 7, 97):
+        for n in range(1, 13):
+            q = p**n
+            minus_ds = [d for d in range(1, n + 1) if n % d == 0]
+            plus_ds = [d for d in range(1, 2 * n + 1) if 2 * n % d == 0 and n % d]
+            for e in {1, math.gcd(2, q - 1)}:  # the PGL and the PSL form
+                minus, plus = nt.q_pm_1_pieces(p, n, e)
+                for pieces, value, ds in ((minus, q - 1, minus_ds),
+                                          (plus, q + 1, plus_ds)):
+                    assert math.prod(pieces) == value // e, (p, n, e)
+                    assert all(type(v) is nt._Congruent for v in pieces), (p, n, e)
+                    assert [v.modulus for v in pieces] == ds, (p, n, e)
+                    for v in pieces:
+                        d = v.modulus
+                        # factored as a plain integer, without the congruence
+                        for s in nt.factor(int(v)).require_complete().primes():
+                            assert d % s == 0 or s % d == 1 % d, (p, n, e, s)
+
+
 # --- primitive prime divisors -----------------------------------------------------
 
 def test_ppd_examples():

@@ -1,5 +1,6 @@
 import pytest
 
+from pglspectra import numtheory as nt
 from pglspectra import verify as vf
 from pglspectra.errors import NotCppPrime, NotPrime
 
@@ -150,3 +151,45 @@ def test_table2_row_17_contents():
     assert "F4(2)" in as_str
     assert "O10-(2)" in as_str
     assert "Fi24'" in as_str
+
+
+def test_case_factorizations_factor_only_tagged_pieces(monkeypatch):
+    # every factor() call gets a cyclotomic piece tagged with its d; p^n + 1
+    # is itself one piece Phi_2n(p) when n is a power of two
+    expected = vf.verify_case_factorizations().lines()
+    real_factor = nt.factor
+    seen = []
+
+    def recording_factor(n, **kwargs):
+        seen.append(n)
+        return real_factor(n, **kwargs)
+
+    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    monkeypatch.setattr(nt, "factor", recording_factor)
+    monkeypatch.setattr(vf, "factor", recording_factor, raising=False)
+    assert vf.verify_case_factorizations().lines() == expected
+    assert seen, "the pieces were not factored"
+    untagged = [n for n in seen if type(n) is not nt._Congruent]
+    assert not untagged, untagged
+
+
+def test_verify_lemma1_undocumented_counterexample_fails(monkeypatch):
+    monkeypatch.delitem(vf.KNOWN_ERRATA, ("ppd_above", 17, 4, 19, 6))
+    report = vf.verify_lemma1(8)
+    assert not report.ok
+    row, = [it for it in report.items if it.name == "row p=17 m=4 q=19"]
+    assert not row.passed and not row.erratum
+    assert row.detail.endswith("(difference [6])")
+
+
+def test_verify_table1_incomplete_cells_fail(monkeypatch):
+    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    nt.configure(budget=1)
+    try:
+        report = vf.verify_table1()
+    finally:
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
+    assert not report.ok
+    failed = {it.name: it.detail for it in report.items if not it.passed}
+    assert "cell p=13 n=19" in failed
+    assert all(d.startswith("incomplete factorization") for d in failed.values())
