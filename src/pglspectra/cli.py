@@ -11,9 +11,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 
 Each command's handler, _cmd_<command>(args, diagnostics), appends its
 notes to diagnostics and returns (result, text lines, exit code); main()
-alone writes the output.  _Usage (bad arguments) goes to stderr; a domain
-error (exit 2) or a cap or budget error (exit 3) gives, with --json, a
-document whose result is null.
+alone writes the output.  Every argument that parses but is rejected
+raises ValueError, from the library or, where only the CLI can tell (the
+number of params, an empty ppd --upto range), from the handler: it is a
+domain error, exit 2.  A domain error or a cap or budget error (exit 3)
+goes to stderr, or with --json gives a document whose result is null.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ EXIT_RESOURCE = 3
 _SPECTRUM_FAMILIES = ("pgl2", "psl2", "sym", "alt", "metacyclic", "f4psi")
 _ORACLE_FAMILIES = ("gl2", "sl2", "pgl2", "psl2")
 _VERIFY_TARGETS = ("table1", "lemma1", "lemma2", "cases", "pgl2", "all")
-
-
-class _Usage(Exception):
-    """Raised by handlers on bad arguments; message goes to stderr."""
 
 
 # Built on the first main() call and reused: parse_args leaves the parser
@@ -135,8 +133,8 @@ def _note_probable(probable, diagnostics: list[str]) -> None:
 
 
 def _cmd_ppd(args, diagnostics):
-    if args.a < 2 or args.n < 1:
-        raise _Usage("need a >= 2 and n >= 1")
+    if args.upto and args.n < 1:  # an empty --upto range reaches no library check
+        raise ValueError("need a >= 2 and n >= 1")
     ns = range(1, args.n + 1) if args.upto else [args.n]
     reports = [numtheory.primitive_prime_divisors(args.a, i) for i in ns]
     for rep in reports:
@@ -156,8 +154,6 @@ def _cmd_ppd(args, diagnostics):
 
 
 def _cmd_ppd_above(args, diagnostics):
-    if args.a < 2 or args.n < 2 or args.q < 2:
-        raise _Usage("need a >= 2, n >= 2, q >= 2")
     rep = numtheory.ppd_exists_above(args.a, args.n, args.q)
     verdict = "true" if rep.exists_above_threshold else "false"
     lines = [
@@ -168,8 +164,6 @@ def _cmd_ppd_above(args, diagnostics):
 
 
 def _cmd_factor(args, diagnostics):
-    if args.n < 1:
-        raise _Usage("need n >= 1")
     f = numtheory.factor(args.n)
     _note_probable(f.probable, diagnostics)
     code = EXIT_OK
@@ -184,21 +178,21 @@ def _cmd_factor(args, diagnostics):
 def _spectrum_for(family: str, params: list[int], cap: int | None):
     if family in ("pgl2", "psl2"):
         if len(params) != 2:
-            raise _Usage(f"{family} takes: p n")
+            raise ValueError(f"{family} takes: p n")
         fn = spectra.mu_pgl2 if family == "pgl2" else spectra.mu_psl2
         return fn(*params)
     if family in ("sym", "alt"):
         if len(params) != 1:
-            raise _Usage(f"{family} takes: n")
+            raise ValueError(f"{family} takes: n")
         fn = spectra.omega_symmetric if family == "sym" else spectra.omega_alternating
         return fn(params[0], cap or spectra.DEFAULT_PARTITION_CAP)
     if family == "metacyclic":
         if len(params) != 3:
-            raise _Usage("metacyclic takes: m n k")
+            raise ValueError("metacyclic takes: m n k")
         return spectra.omega_metacyclic(*params, cap=cap or spectra.DEFAULT_GROUP_CAP)
     # f4psi, the last of argparse's choices
     if len(params) != 1:
-        raise _Usage("f4psi takes: e")
+        raise ValueError("f4psi takes: e")
     e, = params
     return spectra.maximal_elements(spectra.psi_f4(e), label=f"psi(F4(2^{e}))")
 
@@ -247,8 +241,7 @@ def _cmd_oracle(args, diagnostics):
                "omega": spectra.omega_closure(s)}
     lines = [s.label, "mu: " + " ".join(map(str, s.sorted_mu()))]
     if args.family in ("pgl2", "psl2"):
-        formula = (spectra.mu_pgl2 if args.family == "pgl2"
-                   else spectra.mu_psl2)(args.p, args.n)
+        formula = _spectrum_for(args.family, [args.p, args.n], None)
         agree = formula.mu == s.mu
         payload["formula_mu"] = formula.sorted_mu()
         payload["matches_formula"] = agree
@@ -260,8 +253,6 @@ def _cmd_oracle(args, diagnostics):
 
 
 def _cmd_catalan(args, diagnostics):
-    if args.bound < 9:
-        raise _Usage("bound must be >= 9")
     sols = numtheory.catalan_solutions(args.bound)
     payload = {"bound": args.bound, "solutions": [
         {"p": s.p, "m": s.m, "q": s.q, "n": s.n, "value": s.value,
@@ -284,7 +275,7 @@ def _cmd_verify(args, diagnostics):
         reports = [verify.verify_case_factorizations()]
     elif target == "pgl2":
         if len(args.params) != 2:
-            raise _Usage("verify pgl2 takes: p n")
+            raise ValueError("verify pgl2 takes: p n")
         reports = [verify.check_pgl2_component_structure(*args.params)]
     else:
         reports = verify.verify_all(args.nmax, args.bound)
@@ -343,9 +334,6 @@ def main(argv=None) -> int:
     diagnostics: list[str] = []
     try:
         result, lines, code = _HANDLERS[args.command](args, diagnostics)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ToolkitError, ValueError) as exc:
         resource = isinstance(exc, (CapExceeded, FactorizationIncomplete))
         if args.json:

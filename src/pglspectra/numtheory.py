@@ -70,7 +70,7 @@ def configure(*, seed: int | None = None, budget: int | None = None) -> None:
 
 # Miller-Rabin witnesses: the first 40 primes, fixed so that results stay
 # reproducible run to run.  All 40 are used above the deterministic limit;
-# below it the first 12 are exact (for n < 3_317_044_064_679_887_385_961_981,
+# below it the first 12 are exact (for n < 318_665_857_834_031_151_167_461,
 # which exceeds 2^64), and they also screen n by trial division.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
           53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107,
@@ -86,15 +86,17 @@ class Primality:
 
 
 def _miller_rabin(n: int, bases) -> bool:
+    """True iff odd n is a strong probable prime to every base, each 1 < a < n - 1.
+
+    primality() screens n by the first 12 primes first, so n >= 41 there,
+    above each of those bases; it takes all 40 bases only for n >= 2^64.
+    """
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
     for a in bases:
-        a %= n
-        if a in (0, 1, n - 1):
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -317,26 +319,28 @@ def _as_perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-# Complete factorizations are unique, so they can be cached regardless of
-# which seed/budget produced them.
-_COMPLETE_CACHE: dict[int, Factorization] = {}
+# Complete factorizations for the whole process, keyed by (n, budget, seed):
+# a call is answered only by a factorization found under its own rho limits,
+# by factor() or, from the pieces of n, by factor_pieces().
+_COMPLETE_CACHE: dict[tuple[int, int, int], Factorization] = {}
 
 
-def _factorization(n: int, counts: Counter[int], probable: set[int],
-                   cofactor: int) -> Factorization:
-    """The Factorization of n from its prime counts and the unfactored cofactor.
+def _factorization(key: tuple[int, int, int], counts: Counter[int],
+                   probable: set[int], cofactor: int) -> Factorization:
+    """The Factorization of key[0] from its prime counts and unfactored cofactor.
 
-    It is complete iff cofactor == 1, and a complete one is cached under n.
+    key is (n, budget, seed).  The result is complete iff cofactor == 1, and
+    a complete one is cached under key.
     """
     result = Factorization(
-        base_n=n,
+        base_n=key[0],
         factors=tuple(sorted(counts.items())),
         complete=cofactor == 1,
         cofactor=cofactor,
         probable=tuple(sorted(probable)),
     )
     if result.complete and len(_COMPLETE_CACHE) < 200_000:
-        _COMPLETE_CACHE[n] = result
+        _COMPLETE_CACHE[key] = result
     return result
 
 
@@ -364,12 +368,13 @@ def factor(n: int, *, budget: int | None = None,
         raise ValueError("factor requires n >= 1")
     k = n.modulus if type(n) is _Congruent else 1
     n = int(n)
-    cached = _COMPLETE_CACHE.get(n)
+    budget = _rho_budget if budget is None else budget
+    seed = _seed if seed is None else seed
+    key = (n, budget, seed)
+    cached = _COMPLETE_CACHE.get(key)
     if cached is not None:
         return cached
     bound = DEFAULT_TRIAL_BOUND
-    budget = _rho_budget if budget is None else budget
-    seed = _seed if seed is None else seed
 
     counts: Counter[int] = Counter()
     probable: set[int] = set()
@@ -418,7 +423,7 @@ def factor(n: int, *, budget: int | None = None,
         cofactor *= c**mult
 
     settle(m, 1)
-    return _factorization(n, counts, probable, cofactor)
+    return _factorization(key, counts, probable, cofactor)
 
 
 def factor_pieces(pieces) -> Factorization:
@@ -427,12 +432,13 @@ def factor_pieces(pieces) -> Factorization:
     The pieces need not be coprime: prime counts are summed, probable primes
     united, and the stuck cofactors multiplied.  The result is complete only
     if every piece factored completely; the product itself is never factored
-    whole.  Complete results are cached under the product, so a repeat call,
-    or factor() of the product, is one lookup.
+    whole.  Complete results are cached under the product and the current
+    rho budget and seed, so a repeat call, or factor() of the product under
+    the same limits, is one lookup.
     """
     pieces = tuple(pieces)
-    n = math.prod(pieces)
-    cached = _COMPLETE_CACHE.get(n)
+    key = (math.prod(pieces), _rho_budget, _seed)
+    cached = _COMPLETE_CACHE.get(key)
     if cached is not None:
         return cached
     counts: Counter[int] = Counter()
@@ -443,7 +449,7 @@ def factor_pieces(pieces) -> Factorization:
         counts.update(f.as_dict())
         probable.update(f.probable)
         cofactor *= f.cofactor
-    return _factorization(n, counts, probable, cofactor)
+    return _factorization(key, counts, probable, cofactor)
 
 
 def divisors(n: int) -> list[int]:

@@ -79,23 +79,22 @@ class CaseFactorization:
     n: int
     printed_minus: tuple[tuple[int, int], ...]
     printed_plus: tuple[tuple[int, int], ...]
-    source: str
 
 
 CASE_FACTORIZATIONS: tuple[CaseFactorization, ...] = (
-    CaseFactorization(7, 2, ((2, 4), (3, 1)), ((2, 1), (5, 2)), "7^2"),
-    CaseFactorization(7, 3, ((2, 1), (3, 2), (19, 1)), ((2, 3), (43, 1)), "7^3"),
-    CaseFactorization(7, 4, ((2, 5), (3, 1), (5, 2)), ((2, 1), (1201, 1)), "7^4"),
-    CaseFactorization(13, 3, ((2, 2), (3, 2), (61, 1)), ((2, 1), (7, 1), (157, 1)), "13^3"),
+    CaseFactorization(7, 2, ((2, 4), (3, 1)), ((2, 1), (5, 2))),
+    CaseFactorization(7, 3, ((2, 1), (3, 2), (19, 1)), ((2, 3), (43, 1))),
+    CaseFactorization(7, 4, ((2, 5), (3, 1), (5, 2)), ((2, 1), (1201, 1))),
+    CaseFactorization(13, 3, ((2, 2), (3, 2), (61, 1)), ((2, 1), (7, 1), (157, 1))),
     CaseFactorization(13, 4, ((2, 4), (3, 1), (5, 1), (7, 1), (17, 1)),
-                      ((2, 1), (14281, 1)), "13^4"),
-    CaseFactorization(19, 3, ((2, 1), (3, 3), (127, 1)), ((2, 2), (5, 1), (7, 3)), "19^3"),
+                      ((2, 1), (14281, 1))),
+    CaseFactorization(19, 3, ((2, 1), (3, 3), (127, 1)), ((2, 2), (5, 1), (7, 3))),
     CaseFactorization(19, 6, ((2, 3), (3, 3), (5, 1), (7, 1), (127, 1)),
-                      ((2, 1), (13, 2), (181, 1), (769, 1)), "19^6"),
-    CaseFactorization(73, 2, ((2, 4), (3, 2), (37, 1)), ((2, 1), (5, 1), (13, 1), (41, 1)), "73^2"),
-    CaseFactorization(73, 3, ((2, 3), (3, 3), (1801, 1)), ((2, 1), (7, 1), (37, 1), (751, 1)), "73^3"),
+                      ((2, 1), (13, 2), (181, 1), (769, 1))),
+    CaseFactorization(73, 2, ((2, 4), (3, 2), (37, 1)), ((2, 1), (5, 1), (13, 1), (41, 1))),
+    CaseFactorization(73, 3, ((2, 3), (3, 3), (1801, 1)), ((2, 1), (7, 1), (37, 1), (751, 1))),
     CaseFactorization(73, 4, ((2, 5), (3, 2), (5, 1), (13, 1), (37, 1), (41, 1)),
-                      ((2, 1), (14199121, 1)), "73^4"),
+                      ((2, 1), (14199121, 1))),
 )
 
 # Misprints and false instances in the reference data, found by recomputing.
@@ -369,7 +368,7 @@ def verify_case_factorizations() -> Report:
             ("minus", case.printed_minus, case.p**case.n - 1),
             ("plus", case.printed_plus, case.p**case.n + 1),
         ):
-            name = f"{case.source}{'-1' if side == 'minus' else '+1'}"
+            name = f"{case.p}^{case.n}{'-1' if side == 'minus' else '+1'}"
             computed = s.factorization(value).require_complete()
             matches = computed.factors == printed
             erratum_note = KNOWN_ERRATA.get(("case", case.p, case.n, side))

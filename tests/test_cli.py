@@ -142,6 +142,26 @@ def test_domain_errors_exit_2(capsys):
     assert run(capsys, "mu", "metacyclic", "5", "3", "2")[0] == 2  # bad action
 
 
+@pytest.mark.parametrize("argv", [
+    ("mu", "pgl2", "7"),
+    ("mu", "metacyclic", "5", "8"),
+    ("verify", "pgl2", "7"),
+    ("catalan", "4"),
+    ("factor", "0"),
+    ("ppd", "1", "5"),
+    ("ppd", "7", "0", "--upto"),
+    ("ppd-above", "2", "1", "5"),
+])
+def test_rejected_argument_is_a_json_document(capsys, argv):
+    # arity, range and the checks only the CLI can make all reach the one
+    # writer in main: under --json, one document with a null result
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["result"] is None
+    diagnostic, = doc["diagnostics"]
+    assert diagnostic.startswith("domain error: ")
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
@@ -348,3 +368,16 @@ def test_oracle_disagreement_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "oracle", "pgl2", "3", "2")
     assert code == 1
     assert "matches closed form [2, 3]: NO" in out
+
+
+def test_budget_exit_does_not_depend_on_earlier_calls(capsys, monkeypatch):
+    # a complete factorization found at the default budget does not answer
+    # a later call under --budget 1 in the same process
+    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    try:
+        assert run(capsys, "ppd", "13", "19")[0] == 0
+        code, _, err = run(capsys, "--budget", "1", "ppd", "13", "19")
+        assert code == 3
+        assert "factoring budget exhausted" in err
+    finally:
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)

@@ -258,6 +258,15 @@ def test_factorizations_are_cached_only_when_complete(monkeypatch):
     assert all(r.complete for r in cache.values())
 
 
+def test_cache_answers_only_the_budget_that_filled_it(monkeypatch):
+    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    n = 12865927 * 9468940004449
+    f = nt.factor(n)
+    assert f.complete
+    assert not nt.factor(n, budget=1).complete
+    assert nt.factor(n) is f
+
+
 def test_divisors_of_merged_pieces():
     assert nt.factor_pieces((3, 8, 100)).divisors() == nt.divisors(2400)
     with pytest.raises(FactorizationIncomplete):
@@ -576,3 +585,44 @@ def test_prime_power_takes_the_largest_exponent():
     assert nt._prime_power(15**2) is None
     # 1000003 is above the trial bound, so factor meets the power whole
     assert nt.factor(1000003**6).factors == ((1000003, 6),)
+
+
+# --- differential tests against sympy ------------------------------------------
+
+def test_primality_matches_sympy_on_seeded_odd_sample():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    starts = [rng.randrange(3, 1 << 64) | 1 for _ in range(100)]
+    starts += [rng.randrange(1 << 64, 1 << 100) | 1 for _ in range(100)]
+    # each start and the next prime after it, so both verdicts are common
+    for n in starts + [sympy.nextprime(n) for n in starts]:
+        assert nt.primality(n).prime == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("n, bases, factors", [
+    (3215031751, (2, 3, 5, 7), {151: 1, 751: 1, 28351: 1}),
+    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23),
+     {149491: 1, 747451: 1, 34233211: 1}),
+])
+def test_strong_pseudoprimes_to_small_bases_are_rejected(n, bases, factors):
+    sympy = pytest.importorskip("sympy")
+    assert nt._miller_rabin(n, bases)
+    assert not nt.is_prime(n)
+    assert sympy.factorint(n) == factors
+
+
+def test_first_twelve_bases_are_fooled_above_two_to_the_64():
+    # why primality takes all 40 bases from 2^64 on: the first 12 primes
+    # call this composite above 2^64 prime
+    n = 399165290221 * 798330580441
+    assert n == 318665857834031151167461 > nt._DETERMINISTIC_LIMIT
+    assert nt._miller_rabin(n, nt._DETERMINISTIC_BASES)
+    assert not nt.is_prime(n)
+
+
+def test_factor_matches_sympy_on_seeded_products():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for k in (2, 3) * 10:
+        n = math.prod(sympy.prevprime(rng.randrange(3, 10**8)) for _ in range(k))
+        assert nt.factor(n).as_dict() == sympy.factorint(n), n
