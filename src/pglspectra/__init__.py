@@ -3,14 +3,13 @@ divisors for 2x2 matrix groups over small finite fields."""
 
 from .errors import (BadAction, CapExceeded, FactorizationIncomplete,
                      NotCoprime, NotCppPrime, NotPrime, ToolkitError)
-from .matrixgroups import (FieldCtx, ProjMatrix, field_ctx,
-                           find_binary_octahedral_subgroup, omega_bruteforce,
-                           projective_order, subgroup_closure)
+from .matrixgroups import (FieldCtx, field_ctx, find_binary_octahedral_subgroup,
+                           omega_bruteforce, subgroup_closure)
 from .numtheory import (CatalanSolution, Factorization, PpdReport,
                         catalan_solutions, cyclotomic_value, divisors, factor,
-                        factor_pieces, is_prime, largest_prime_below, mobius,
-                        multiplicative_order, ppd_exists_above,
-                        primitive_prime_divisors, zsigmondy_exception)
+                        factor_pieces, is_prime, multiplicative_order,
+                        ppd_exists_above, primitive_prime_divisors,
+                        zsigmondy_exception)
 from .primegraph import (ComponentPartition, PrimeGraph, build_graph,
                          components, is_cpp_candidate, mu_components, to_dot)
 from .spectra import (Spectrum, maximal_elements, mu_pgl2, mu_psl2,

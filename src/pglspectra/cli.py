@@ -12,10 +12,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 Each command's handler, _cmd_<command>(args, diagnostics), appends its
 notes to diagnostics and returns (result, text lines, exit code); main()
 alone writes the output.  Every argument that parses but is rejected
-raises ValueError, from the library or, where only the CLI can tell (the
-number of params, an empty ppd --upto range), from the handler: it is a
-domain error, exit 2.  A domain error or a cap or budget error (exit 3)
-goes to stderr, or with --json gives a document whose result is null.
+raises ValueError, from the library or, where only the CLI can tell (a
+--cap below 1, the number of params, an empty ppd --upto range), from
+main or the handler: it is a domain error, exit 2.  A domain error or a
+cap or budget error (exit 3) goes to stderr, or with --json gives a
+document whose result is null.
 """
 
 from __future__ import annotations
@@ -265,6 +266,10 @@ def _cmd_catalan(args, diagnostics):
 
 def _cmd_verify(args, diagnostics):
     target = args.target
+    if target == "pgl2" and len(args.params) != 2:
+        raise ValueError("verify pgl2 takes: p n")
+    if target != "pgl2" and args.params:
+        raise ValueError(f"verify {target} takes no params")
     if target == "table1":
         reports = [verify.verify_table1()]
     elif target == "lemma1":
@@ -274,8 +279,6 @@ def _cmd_verify(args, diagnostics):
     elif target == "cases":
         reports = [verify.verify_case_factorizations()]
     elif target == "pgl2":
-        if len(args.params) != 2:
-            raise ValueError("verify pgl2 takes: p n")
         reports = [verify.check_pgl2_component_structure(*args.params)]
     else:
         reports = verify.verify_all(args.nmax, args.bound)
@@ -333,6 +336,8 @@ def main(argv=None) -> int:
     numtheory.configure(seed=args.seed, budget=args.budget)
     diagnostics: list[str] = []
     try:
+        if args.cap is not None and args.cap < 1:
+            raise ValueError(f"--cap must be >= 1, got {args.cap}")
         result, lines, code = _HANDLERS[args.command](args, diagnostics)
     except (ToolkitError, ValueError) as exc:
         resource = isinstance(exc, (CapExceeded, FactorizationIncomplete))

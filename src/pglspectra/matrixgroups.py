@@ -205,54 +205,10 @@ def mat_det(x, ctx: FieldCtx):
     return ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
 
 
-def mat_is_scalar(x) -> bool:
-    a, b, c, d = x
-    return b == 0 and c == 0 and a == d
-
-
-def projective_canonical(x, ctx: FieldCtx):
-    """Scale so the first nonzero entry is 1: a unique coset representative."""
-    for entry in x:
-        if entry != 0:
-            inv = ctx.inv(entry)
-            return tuple(ctx.mul(inv, e) for e in x)
-    raise ValueError("zero matrix is not projective")
-
-
-@dataclass(frozen=True)
-class ProjMatrix:
-    """An invertible 2x2 matrix modulo scalars, stored canonically."""
-
-    entries: tuple[int, int, int, int]
-    ctx: FieldCtx
-
-    def __post_init__(self):
-        if mat_det(self.entries, self.ctx) == 0:
-            raise ValueError("matrix is singular")
-        object.__setattr__(self, "entries",
-                           projective_canonical(self.entries, self.ctx))
-
-    def __mul__(self, other: "ProjMatrix") -> "ProjMatrix":
-        return ProjMatrix(mat_mul(self.entries, other.entries, self.ctx), self.ctx)
-
-
 def linear_order(x, ctx: FieldCtx) -> int:
     """Least k >= 1 with x^k the identity matrix."""
     acc, k = x, 1
     while acc != MAT_IDENTITY:
-        acc = mat_mul(acc, x, ctx)
-        k += 1
-    return k
-
-
-def projective_order(m, ctx: FieldCtx | None = None) -> int:
-    """Least k >= 1 with m^k a scalar matrix."""
-    if isinstance(m, ProjMatrix):
-        x, ctx = m.entries, m.ctx
-    else:
-        x = m
-    acc, k = x, 1
-    while not mat_is_scalar(acc):
         acc = mat_mul(acc, x, ctx)
         k += 1
     return k
@@ -324,11 +280,12 @@ def omega_bruteforce(family: str, p: int, n: int,
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     q = p**n
     if q > cap:
         raise CapExceeded(f"q={q} exceeds enumeration cap {cap}")
-    ctx = field_ctx(p, n, degree_cap=max(n, DEFAULT_FIELD_DEGREE_CAP),
-                    size_cap=max(q, DEFAULT_FIELD_SIZE_CAP))
+    ctx = field_ctx(p, n, degree_cap=n, size_cap=q)
     label = {"GL2": f"GL(2,{q})", "SL2": f"SL(2,{q})",
              "PGL2": f"PGL(2,{q})", "PSL2": f"PSL(2,{q})"}[family]
     return maximal_elements(_class_orders(family, ctx), label=f"{label} enumerated")
@@ -351,38 +308,19 @@ def enumerate_sl2(ctx: FieldCtx) -> list[tuple[int, int, int, int]]:
 # ---------------------------------------------------------------------------
 # generator closure
 
-def subgroup_closure(gens, mode: str = "linear", ctx: FieldCtx | None = None,
-                     cap: int = DEFAULT_CLOSURE_CAP) -> list:
-    """Breadth-first closure of the generators under multiplication.
+def subgroup_closure(gens, ctx: FieldCtx, cap: int = DEFAULT_CLOSURE_CAP) -> list:
+    """Breadth-first closure under multiplication of 2x2 entry 4-tuples.
 
-    gens may be ProjMatrix instances or raw entry 4-tuples (then ctx is
-    required).  Returns the subgroup elements in deterministic BFS order,
-    identity first; raises CapExceeded if the closure grows past cap.
+    Returns the subgroup elements in deterministic BFS order, identity
+    first; raises CapExceeded if the closure grows past cap.
     """
-    if mode not in ("linear", "projective"):
-        raise ValueError("mode must be 'linear' or 'projective'")
-    raw = []
-    for g in gens:
-        if isinstance(g, ProjMatrix):
-            raw.append(g.entries)
-            ctx = g.ctx
-        else:
-            raw.append(tuple(g))
-    if ctx is None:
-        raise ValueError("ctx is required for raw matrix generators")
-
-    def canon(x):
-        return projective_canonical(x, ctx) if mode == "projective" else x
-
-    identity = canon(MAT_IDENTITY)
-    gens_c = [canon(g) for g in raw]
-    seen = {identity}
-    order = [identity]
-    queue = deque([identity])
+    seen = {MAT_IDENTITY}
+    order = [MAT_IDENTITY]
+    queue = deque([MAT_IDENTITY])
     while queue:
         current = queue.popleft()
-        for g in gens_c:
-            nxt = canon(mat_mul(current, g, ctx))
+        for g in gens:
+            nxt = mat_mul(current, g, ctx)
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")
@@ -421,7 +359,7 @@ def find_binary_octahedral_subgroup(seed: int = 0) -> SubgroupWitness:
         x = sl2[rng.randrange(len(sl2))]
         y = sl2[rng.randrange(len(sl2))]
         try:
-            closure = subgroup_closure([x, y], mode="linear", ctx=ctx, cap=48)
+            closure = subgroup_closure([x, y], ctx, cap=48)
         except CapExceeded:
             continue
         if len(closure) != 48:

@@ -141,16 +141,6 @@ def primes_below(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(limit) if sieve[i])
 
 
-def largest_prime_below(n: int) -> int:
-    """The largest prime <= n (n >= 2)."""
-    if n < 2:
-        raise ValueError("no prime <= n for n < 2")
-    k = n
-    while not is_prime(k):
-        k -= 1
-    return k
-
-
 # ---------------------------------------------------------------------------
 # factorization
 
@@ -457,14 +447,6 @@ def divisors(n: int) -> list[int]:
     return factor(n).divisors()
 
 
-def mobius(n: int) -> int:
-    """Moebius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
-    f = factor(n).require_complete()
-    if any(e > 1 for _, e in f.factors):
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
 def _carmichael(modulus: int) -> int:
     lam = 1
     for p, e in factor(modulus).require_complete().factors:
@@ -589,13 +571,6 @@ class PpdReport:
     exists_above_threshold: bool | None = None
     complete: bool = True
     probable: tuple[int, ...] = field(default=(), compare=False)
-
-
-def is_primitive_prime_divisor(a: int, n: int, s: int) -> bool:
-    """Definition check: s | a^n - 1 and s does not divide a^i - 1 for i < n."""
-    if pow(a, n, s) != 1 % s:
-        return False
-    return all(pow(a, i, s) != 1 % s for i in range(1, n))
 
 
 def _stripped_cyclotomic(a: int, n: int) -> tuple[int, tuple[int, ...]]:

@@ -151,6 +151,11 @@ def test_domain_errors_exit_2(capsys):
     ("ppd", "1", "5"),
     ("ppd", "7", "0", "--upto"),
     ("ppd-above", "2", "1", "5"),
+    ("oracle", "pgl2", "7", "0"),
+    ("oracle", "pgl2", "7", "-1"),
+    ("verify", "table1", "5", "6"),
+    ("--cap", "0", "mu", "sym", "10"),
+    ("--cap", "-1", "oracle", "pgl2", "7", "1"),
 ])
 def test_rejected_argument_is_a_json_document(capsys, argv):
     # arity, range and the checks only the CLI can make all reach the one
@@ -160,6 +165,32 @@ def test_rejected_argument_is_a_json_document(capsys, argv):
     assert doc["result"] is None
     diagnostic, = doc["diagnostics"]
     assert diagnostic.startswith("domain error: ")
+
+
+def test_oracle_n_below_1_is_a_domain_error(capsys):
+    # not a field outside the caps (exit 3): the same answer as mu gives
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, "oracle", "pgl2", "7", n)
+        assert (code, out, err) == (2, "", "error: n must be >= 1\n")
+    assert run(capsys, "mu", "pgl2", "7", "0")[0] == 2
+
+
+@pytest.mark.parametrize("target", ["table1", "lemma1", "lemma2", "cases", "all"])
+def test_verify_rejects_stray_params(capsys, target):
+    code, out, err = run(capsys, "verify", target, "5", "6")
+    assert (code, out) == (2, "")
+    assert err == f"error: verify {target} takes no params\n"
+
+
+def test_cap_below_1_is_a_domain_error(capsys):
+    for cap in ("0", "-1"):
+        for argv in (("mu", "sym", "10"), ("oracle", "pgl2", "7", "1")):
+            code, out, err = run(capsys, "--cap", cap, *argv)
+            assert (code, out) == (2, ""), (cap, argv)
+            assert err == f"error: --cap must be >= 1, got {cap}\n"
+    # any other cap is used as given
+    assert run(capsys, "--cap", "1", "mu", "sym", "2")[0] == 3
+    assert run(capsys, "--cap", "1", "mu", "sym", "1")[0] == 0
 
 
 def test_help_exits_zero(capsys):
