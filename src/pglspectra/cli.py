@@ -9,14 +9,15 @@ machine-readable document with a stable schema:
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 3 enumeration cap or factoring budget exhausted.
 
-Each command's handler, _cmd_<command>(args, diagnostics), appends its
-notes to diagnostics and returns (result, text lines, exit code); main()
-alone writes the output.  Every argument that parses but is rejected
-raises ValueError, from the library or, where only the CLI can tell (a
---cap below 1, the number of params, an empty ppd --upto range), from
-main or the handler: it is a domain error, exit 2.  A domain error or a
-cap or budget error (exit 3) goes to stderr, or with --json gives a
-document whose result is null.
+Each command's handler, _cmd_<command>(args, diagnostics), set as its
+subparser's default, appends its notes to diagnostics and returns (result,
+text lines, exit code); main() alone writes the output.  Every argument
+that parses but is rejected raises ValueError, from the library or, where
+only the CLI can tell (a --cap below 1, the number of params, an empty ppd
+--upto range, an option the command line does not read), from main or the
+handler: it is a domain error, exit 2.  A domain error or a cap or budget
+error (exit 3) goes to stderr, or with --json gives a document whose
+result is null.
 """
 
 from __future__ import annotations
@@ -36,9 +37,31 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-_SPECTRUM_FAMILIES = ("pgl2", "psl2", "sym", "alt", "metacyclic", "f4psi")
-_ORACLE_FAMILIES = ("gl2", "sl2", "pgl2", "psl2")
-_VERIFY_TARGETS = ("table1", "lemma1", "lemma2", "cases", "pgl2", "all")
+# The choices of mu/omega/graph and of verify.  Each names the library
+# function it calls, looked up on its module at call time (tests and
+# bench/tracing.py rebind module attributes), its params, and the options
+# of _LIMITS it reads.  An option not given is not passed on, so the
+# library default applies.
+_SPECTRUM_FAMILIES = {  # builders on spectra
+    "pgl2": ("mu_pgl2", "p n", ()),
+    "psl2": ("mu_psl2", "p n", ()),
+    "sym": ("omega_symmetric", "n", ("cap",)),
+    "alt": ("omega_alternating", "n", ("cap",)),
+    "metacyclic": ("omega_metacyclic", "m n k", ("cap",)),
+    "f4psi": ("mu_psi_f4", "e", ()),
+}
+_VERIFY_TARGETS = {  # checkers on verify
+    "table1": ("verify_table1", "", ()),
+    "lemma1": ("verify_lemma1", "", ("nmax",)),
+    "lemma2": ("verify_lemma2", "", ("bound",)),
+    "cases": ("verify_case_factorizations", "", ()),
+    "pgl2": ("check_pgl2_component_structure", "p n", ()),
+    "all": ("verify_all", "", ("nmax", "bound")),
+}
+# Each option some choices read, with the library keyword it is passed as.
+# catalan's positional bound is the value_bound of catalan_solutions, which
+# verify lemma2 passes --bound on to.
+_LIMITS = {"cap": "cap", "nmax": "n_max", "bound": "value_bound"}
 
 
 # Built on the first main() call and reused: parse_args leaves the parser
@@ -59,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Pollard rho budget per cofactor, in "
                              "multiplications mod the cofactor "
                              "(default %(default)s)")
-    parser.add_argument("--cap", type=int, default=None,
+    parser.add_argument("--cap", type=int,
                         help="size cap: n for sym/alt, m*n for metacyclic, "
-                             "q for oracle")
+                             "q for oracle; other choices reject it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ppd", help="primitive prime divisors of a^n - 1")
@@ -69,44 +92,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--upto", action="store_true",
                    help="one line per i in 1..n")
+    p.set_defaults(handler=_cmd_ppd)
 
     p = sub.add_parser("ppd-above",
                        help="is there a primitive prime divisor of a^n - 1 above q?")
     p.add_argument("a", type=int)
     p.add_argument("n", type=int)
     p.add_argument("q", type=int)
+    p.set_defaults(handler=_cmd_ppd_above)
 
     p = sub.add_parser("factor", help="factor n")
     p.add_argument("n", type=int)
+    p.set_defaults(handler=_cmd_factor)
 
     for name in ("mu", "omega"):
         p = sub.add_parser(name, help=f"{name} of a group family")
         p.add_argument("family", choices=_SPECTRUM_FAMILIES)
-        p.add_argument("params", type=int, nargs="+",
-                       help="pgl2/psl2: p n; sym/alt: n; metacyclic: m n k; f4psi: e")
+        p.add_argument("params", type=int, nargs="+", help="; ".join(
+            f"{family}: {names}" for family, (_, names, _) in _SPECTRUM_FAMILIES.items()))
+        p.set_defaults(handler=_cmd_mu)
 
     p = sub.add_parser("graph", help="prime graph of a spectrum")
-    p.add_argument("family", choices=_SPECTRUM_FAMILIES[:-1])
+    # psi(F4(2^e)) is only part of a spectrum (spectra.mu_psi_f4)
+    p.add_argument("family", choices=[f for f in _SPECTRUM_FAMILIES if f != "f4psi"])
     p.add_argument("params", type=int, nargs="+")
     p.add_argument("--dot", action="store_true", help="emit DOT format")
+    p.set_defaults(handler=_cmd_graph)
 
-    p = sub.add_parser("oracle",
-                       help="brute-force spectrum by matrix enumeration")
-    p.add_argument("family", choices=_ORACLE_FAMILIES)
+    about = ("spectrum from conjugacy-class representatives, checked "
+             "against the closed form for pgl2/psl2")
+    p = sub.add_parser("oracle", help=about, description=about)
+    p.add_argument("family", choices=[f.lower() for f in matrixgroups.FAMILIES])
     p.add_argument("p", type=int)
     p.add_argument("n", type=int)
+    p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("catalan", help="solutions of p^m = q^n + 1 up to a bound")
     p.add_argument("bound", type=int)
+    p.set_defaults(handler=_cmd_catalan)
 
     p = sub.add_parser("verify", help="run the bundled verification suites")
     p.add_argument("target", choices=_VERIFY_TARGETS)
     p.add_argument("params", type=int, nargs="*",
                    help="for target pgl2: p n")
-    p.add_argument("--nmax", type=int, default=60,
-                   help="upper n for the lemma1 rows (default 60)")
-    p.add_argument("--bound", type=int, default=10**6,
-                   help="enumeration bound for lemma2 (default 10^6)")
+    p.add_argument("--nmax", type=int,
+                   help=f"upper n for the lemma1 rows (default {verify.DEFAULT_N_MAX})")
+    p.add_argument("--bound", type=int,
+                   help=f"enumeration bound for lemma2 (default {verify.DEFAULT_VALUE_BOUND})")
+    p.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -133,7 +166,34 @@ def _note_probable(probable, diagnostics: list[str]) -> None:
         diagnostics.append(f"primality of {s} established probabilistically")
 
 
+def _read(args, what: str, *options: str) -> dict:
+    """The options among these that the user gave, by library keyword.
+
+    Any other option of _LIMITS that was given is a domain error: no
+    command line silently ignores an option.
+    """
+    given = {}
+    for option, keyword in _LIMITS.items():
+        value = getattr(args, option, None)
+        if value is None:
+            continue
+        if option not in options:
+            raise ValueError(f"--{option} does not apply to {what}")
+        given[keyword] = value
+    return given
+
+
+def _call(module, entry, what: str, params: list[int], args):
+    """Call a table entry's library function with the params and the
+    options it reads."""
+    name, names, reads = entry
+    if len(params) != len(names.split()):
+        raise ValueError(f"{what} takes: {names}" if names else f"{what} takes no params")
+    return getattr(module, name)(*params, **_read(args, what, *reads))
+
+
 def _cmd_ppd(args, diagnostics):
+    _read(args, "ppd")
     if args.upto and args.n < 1:  # an empty --upto range reaches no library check
         raise ValueError("need a >= 2 and n >= 1")
     ns = range(1, args.n + 1) if args.upto else [args.n]
@@ -155,6 +215,7 @@ def _cmd_ppd(args, diagnostics):
 
 
 def _cmd_ppd_above(args, diagnostics):
+    _read(args, "ppd-above")
     rep = numtheory.ppd_exists_above(args.a, args.n, args.q)
     verdict = "true" if rep.exists_above_threshold else "false"
     lines = [
@@ -165,6 +226,7 @@ def _cmd_ppd_above(args, diagnostics):
 
 
 def _cmd_factor(args, diagnostics):
+    _read(args, "factor")
     f = numtheory.factor(args.n)
     _note_probable(f.probable, diagnostics)
     code = EXIT_OK
@@ -176,30 +238,8 @@ def _cmd_factor(args, diagnostics):
     return payload, [f"{args.n} = {f}"], code
 
 
-def _spectrum_for(family: str, params: list[int], cap: int | None):
-    if family in ("pgl2", "psl2"):
-        if len(params) != 2:
-            raise ValueError(f"{family} takes: p n")
-        fn = spectra.mu_pgl2 if family == "pgl2" else spectra.mu_psl2
-        return fn(*params)
-    if family in ("sym", "alt"):
-        if len(params) != 1:
-            raise ValueError(f"{family} takes: n")
-        fn = spectra.omega_symmetric if family == "sym" else spectra.omega_alternating
-        return fn(params[0], cap or spectra.DEFAULT_PARTITION_CAP)
-    if family == "metacyclic":
-        if len(params) != 3:
-            raise ValueError("metacyclic takes: m n k")
-        return spectra.omega_metacyclic(*params, cap=cap or spectra.DEFAULT_GROUP_CAP)
-    # f4psi, the last of argparse's choices
-    if len(params) != 1:
-        raise ValueError("f4psi takes: e")
-    e, = params
-    return spectra.maximal_elements(spectra.psi_f4(e), label=f"psi(F4(2^{e}))")
-
-
 def _cmd_mu(args, diagnostics):
-    s = _spectrum_for(args.family, args.params, args.cap)
+    s = _call(spectra, _SPECTRUM_FAMILIES[args.family], args.family, args.params, args)
     payload = {"label": s.label, "mu": s.sorted_mu()}
     lines = [s.label, "mu: " + " ".join(map(str, s.sorted_mu()))]
     if args.command == "omega":
@@ -210,7 +250,7 @@ def _cmd_mu(args, diagnostics):
 
 
 def _cmd_graph(args, diagnostics):
-    s = _spectrum_for(args.family, args.params, args.cap)
+    s = _call(spectra, _SPECTRUM_FAMILIES[args.family], args.family, args.params, args)
     g = primegraph.build_graph(s)
     part = primegraph.components(g)
     payload = {
@@ -235,14 +275,13 @@ def _cmd_graph(args, diagnostics):
 
 
 def _cmd_oracle(args, diagnostics):
-    family = args.family.upper()
-    cap = args.cap or matrixgroups.DEFAULT_ENUM_CAP
-    s = matrixgroups.omega_bruteforce(family, args.p, args.n, cap=cap)
+    s = matrixgroups.omega_bruteforce(args.family.upper(), args.p, args.n,
+                                      **_read(args, "oracle", "cap"))
     payload = {"label": s.label, "mu": s.sorted_mu(),
                "omega": spectra.omega_closure(s)}
     lines = [s.label, "mu: " + " ".join(map(str, s.sorted_mu()))]
-    if args.family in ("pgl2", "psl2"):
-        formula = _spectrum_for(args.family, [args.p, args.n], None)
+    if args.family in _SPECTRUM_FAMILIES:  # pgl2 and psl2 have a closed form
+        formula = getattr(spectra, _SPECTRUM_FAMILIES[args.family][0])(args.p, args.n)
         agree = formula.mu == s.mu
         payload["formula_mu"] = formula.sorted_mu()
         payload["matches_formula"] = agree
@@ -254,7 +293,7 @@ def _cmd_oracle(args, diagnostics):
 
 
 def _cmd_catalan(args, diagnostics):
-    sols = numtheory.catalan_solutions(args.bound)
+    sols = numtheory.catalan_solutions(**_read(args, "catalan", "bound"))
     payload = {"bound": args.bound, "solutions": [
         {"p": s.p, "m": s.m, "q": s.q, "n": s.n, "value": s.value,
          "family": s.family} for s in sols]}
@@ -265,23 +304,10 @@ def _cmd_catalan(args, diagnostics):
 
 
 def _cmd_verify(args, diagnostics):
-    target = args.target
-    if target == "pgl2" and len(args.params) != 2:
-        raise ValueError("verify pgl2 takes: p n")
-    if target != "pgl2" and args.params:
-        raise ValueError(f"verify {target} takes no params")
-    if target == "table1":
-        reports = [verify.verify_table1()]
-    elif target == "lemma1":
-        reports = [verify.verify_lemma1(args.nmax)]
-    elif target == "lemma2":
-        reports = [verify.verify_lemma2(args.bound)]
-    elif target == "cases":
-        reports = [verify.verify_case_factorizations()]
-    elif target == "pgl2":
-        reports = [verify.check_pgl2_component_structure(*args.params)]
-    else:
-        reports = verify.verify_all(args.nmax, args.bound)
+    reports = _call(verify, _VERIFY_TARGETS[args.target], f"verify {args.target}",
+                    args.params, args)
+    if not isinstance(reports, list):  # verify_all alone gives several
+        reports = [reports]
     ok = all(r.ok for r in reports)
     lines = []
     for r in reports:
@@ -298,19 +324,6 @@ def _cmd_verify(args, diagnostics):
     return payload, lines, EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-_HANDLERS = {
-    "ppd": _cmd_ppd,
-    "ppd-above": _cmd_ppd_above,
-    "factor": _cmd_factor,
-    "mu": _cmd_mu,
-    "omega": _cmd_mu,
-    "graph": _cmd_graph,
-    "oracle": _cmd_oracle,
-    "catalan": _cmd_catalan,
-    "verify": _cmd_verify,
-}
-
-
 def render_document(command: str, inputs: dict, result, diagnostics) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -323,8 +336,11 @@ def render_document(command: str, inputs: dict, result, diagnostics) -> str:
 
 
 def _inputs_of(args) -> dict:
-    skip = {"command", "json", "seed", "budget", "cap"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    # a verify option not given shows the default its checkers apply
+    defaults = {"nmax": verify.DEFAULT_N_MAX, "bound": verify.DEFAULT_VALUE_BOUND}
+    skip = {"command", "json", "seed", "budget", "cap", "handler"}
+    return {k: defaults[k] if v is None else v
+            for k, v in vars(args).items() if k not in skip}
 
 
 def main(argv=None) -> int:
@@ -338,7 +354,7 @@ def main(argv=None) -> int:
     try:
         if args.cap is not None and args.cap < 1:
             raise ValueError(f"--cap must be >= 1, got {args.cap}")
-        result, lines, code = _HANDLERS[args.command](args, diagnostics)
+        result, lines, code = args.handler(args, diagnostics)
     except (ToolkitError, ValueError) as exc:
         resource = isinstance(exc, (CapExceeded, FactorizationIncomplete))
         if args.json:

@@ -12,7 +12,7 @@ the q-1 / p / q+1 formulas.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
@@ -316,9 +316,7 @@ def subgroup_closure(gens, ctx: FieldCtx, cap: int = DEFAULT_CLOSURE_CAP) -> lis
     """
     seen = {MAT_IDENTITY}
     order = [MAT_IDENTITY]
-    queue = deque([MAT_IDENTITY])
-    while queue:
-        current = queue.popleft()
+    for current in order:  # order grows while it is read: a FIFO queue
         for g in gens:
             nxt = mat_mul(current, g, ctx)
             if nxt not in seen:
@@ -326,7 +324,6 @@ def subgroup_closure(gens, ctx: FieldCtx, cap: int = DEFAULT_CLOSURE_CAP) -> lis
                     raise CapExceeded(f"closure exceeded cap {cap}")
                 seen.add(nxt)
                 order.append(nxt)
-                queue.append(nxt)
     return order
 
 

@@ -61,26 +61,14 @@ def build_graph(s: Spectrum) -> PrimeGraph:
 
 
 def components(g: PrimeGraph) -> ComponentPartition:
-    """Connected components by traversal, in the documented stable order."""
-    adjacency: dict[int, set[int]] = {v: set() for v in g.vertices}
+    """Connected components by merging the components of each edge's ends,
+    in the documented stable order."""
+    comp_of = {v: frozenset({v}) for v in g.vertices}
     for r, s in g.edges:
-        adjacency[r].add(s)
-        adjacency[s].add(r)
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for start in sorted(g.vertices):
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adjacency[v] - comp)
-        seen |= comp
-        comps.append(frozenset(comp))
-    comps.sort(key=lambda c: (2 not in c, min(c)))
+        merged = comp_of[r] | comp_of[s]
+        for v in merged:
+            comp_of[v] = merged
+    comps = sorted(set(comp_of.values()), key=lambda c: (2 not in c, min(c)))
     return ComponentPartition(tuple(comps))
 
 

@@ -225,3 +225,12 @@ def psi_f4(e: int) -> frozenset[int]:
         (q - 1) * (q**3 + 1),
         (q + 1) * (q**3 - 1),
     })
+
+
+def mu_psi_f4(e: int) -> Spectrum:
+    """psi(F4(2^e)) held as a Spectrum, for mu and omega.
+
+    Only the maximal odd part of the spectrum of F4(2^e), so its prime graph
+    is not that of the group.
+    """
+    return maximal_elements(psi_f4(e), label=f"psi(F4(2^{e}))")

@@ -279,6 +279,9 @@ def _fmt(pairs) -> str:
 # ---------------------------------------------------------------------------
 # checkers
 
+DEFAULT_N_MAX = 60  # the lemma1 rows are checked for n up to this
+DEFAULT_VALUE_BOUND = 10**6  # lemma2 enumerates p^m = q^n + 1 up to this
+
 def verify_table1() -> Report:
     """Recompute all 54 cells of the bundled primitive-prime-divisor table.
 
@@ -312,7 +315,7 @@ def verify_table1() -> Report:
     return report
 
 
-def verify_lemma1(n_max: int = 60) -> Report:
+def verify_lemma1(n_max: int = DEFAULT_N_MAX) -> Report:
     """Check each threshold row: a primitive prime divisor > q for all n in [m, n_max].
 
     Uses the exact cyclotomic-residual method, so rows stay cheap even where
@@ -342,7 +345,7 @@ def verify_lemma1(n_max: int = 60) -> Report:
     return report
 
 
-def verify_lemma2(value_bound: int = 10**6) -> Report:
+def verify_lemma2(value_bound: int = DEFAULT_VALUE_BOUND) -> Report:
     """Classify all solutions of p^m = q^n + 1 up to the bound."""
     report = Report(f"lemma2: p^m = q^n + 1 enumeration up to {value_bound}")
     sols = catalan_solutions(value_bound)
@@ -414,7 +417,8 @@ def check_pgl2_component_structure(p: int, n: int) -> Report:
     return report
 
 
-def verify_all(n_max: int = 60, value_bound: int = 10**6) -> list[Report]:
+def verify_all(n_max: int = DEFAULT_N_MAX,
+               value_bound: int = DEFAULT_VALUE_BOUND) -> list[Report]:
     """Run every checker, including the component-structure battery."""
     reports = [
         verify_table1(),

@@ -156,6 +156,10 @@ def test_domain_errors_exit_2(capsys):
     ("verify", "table1", "5", "6"),
     ("--cap", "0", "mu", "sym", "10"),
     ("--cap", "-1", "oracle", "pgl2", "7", "1"),
+    ("--cap", "5", "factor", "100"),
+    ("--cap", "5", "mu", "pgl2", "7", "1"),
+    ("verify", "table1", "--nmax", "5"),
+    ("verify", "cases", "--bound", "7"),
 ])
 def test_rejected_argument_is_a_json_document(capsys, argv):
     # arity, range and the checks only the CLI can make all reach the one
@@ -191,6 +195,66 @@ def test_cap_below_1_is_a_domain_error(capsys):
     # any other cap is used as given
     assert run(capsys, "--cap", "1", "mu", "sym", "2")[0] == 3
     assert run(capsys, "--cap", "1", "mu", "sym", "1")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("ppd", "7", "5"),
+    ("ppd-above", "7", "5", "13"),
+    ("factor", "100"),
+    ("catalan", "100"),
+    ("verify", "cases"),
+    ("mu", "pgl2", "7", "1"),
+    ("mu", "psl2", "7", "1"),
+    ("mu", "f4psi", "1"),
+    ("omega", "pgl2", "7", "1"),
+    ("omega", "psl2", "7", "1"),
+    ("omega", "f4psi", "1"),
+    ("graph", "pgl2", "7", "1"),
+    ("graph", "psl2", "7", "1"),
+])
+def test_cap_is_rejected_where_nothing_reads_it(capsys, argv):
+    # --cap bounds only sym, alt, metacyclic and oracle; elsewhere it is
+    # a domain error, not silently ignored
+    code, out, err = run(capsys, "--cap", "5", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --cap does not apply to ")
+
+
+@pytest.mark.parametrize("option, value, target", [
+    ("--nmax", "5", ("table1",)),
+    ("--nmax", "5", ("lemma2",)),
+    ("--nmax", "5", ("cases",)),
+    ("--nmax", "5", ("pgl2", "7", "1")),
+    ("--bound", "7", ("table1",)),
+    ("--bound", "7", ("lemma1",)),
+    ("--bound", "7", ("cases",)),
+    ("--bound", "7", ("pgl2", "7", "1")),
+])
+def test_verify_option_is_rejected_where_the_target_does_not_read_it(
+        capsys, option, value, target):
+    # --nmax reaches only lemma1 and all, --bound only lemma2 and all
+    code, out, err = run(capsys, "verify", *target, option, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} does not apply to verify {target[0]}\n"
+
+
+def test_cap_not_given_leaves_the_library_default(capsys):
+    assert run(capsys, "mu", "sym", str(spectra.DEFAULT_PARTITION_CAP))[0] == 0
+    assert run(capsys, "mu", "sym", str(spectra.DEFAULT_PARTITION_CAP + 1))[0] == 3
+    assert run(capsys, "oracle", "pgl2", "31", "1")[0] == 0  # the default cap is 32
+    assert run(capsys, "oracle", "pgl2", "37", "1")[0] == 3
+
+
+def test_verify_inputs_show_the_checker_defaults(capsys):
+    # an option not given is not passed on, and the document still shows
+    # the value the checkers apply
+    code, doc, _ = run_json(capsys, "verify", "table1")
+    assert code == 0
+    assert doc["inputs"] == {"target": "table1", "params": [],
+                             "nmax": 60, "bound": 1000000}
+    code, doc, _ = run_json(capsys, "verify", "lemma1", "--nmax", "8")
+    assert code == 0
+    assert (doc["inputs"]["nmax"], doc["inputs"]["bound"]) == (8, 1000000)
 
 
 def test_help_exits_zero(capsys):
