@@ -11,13 +11,16 @@ Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 
 Each command's handler, _cmd_<command>(args, diagnostics), set as its
 subparser's default, appends its notes to diagnostics and returns (result,
-text lines, exit code); main() alone writes the output.  Every argument
-that parses but is rejected raises ValueError, from the library or, where
-only the CLI can tell (a --cap below 1, the number of params, an empty ppd
---upto range, an option the command line does not read), from main or the
-handler: it is a domain error, exit 2.  A domain error or a cap or budget
-error (exit 3) goes to stderr, or with --json gives a document whose
-result is null.
+text lines, exit code); main() alone writes the output.  The text lines
+are a generator that main() walks only in text mode, so under --json no
+line is formatted.  The document is byte for byte the json module's
+rendering with indent=2 and sort_keys=True (render_document).  Every
+argument that parses but is rejected raises ValueError, from the library
+or, where only the CLI can tell (a --cap below 1, the number of params, an
+empty ppd --upto range, an option the command line does not read), from
+main or the handler: it is a domain error, exit 2.  A domain error or a cap
+or budget error (exit 3) goes to stderr, or with --json gives a document
+whose result is null.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import matrixgroups, numtheory, primegraph, spectra, verify
 from .errors import CapExceeded, FactorizationIncomplete, ToolkitError
@@ -204,25 +208,27 @@ def _cmd_ppd(args, diagnostics):
             diagnostics.append("factoring budget exhausted; the set may be missing primes")
     code = EXIT_OK if all(rep.complete for rep in reports) else EXIT_RESOURCE
     if args.upto:
-        lines = [f"{rep.n:5d}     {sorted(rep.primitive_primes)}" for rep in reports]
+        lines = (f"{rep.n:5d}     {sorted(rep.primitive_primes)}" for rep in reports)
         return {"rows": [_ppd_payload(rep) for rep in reports]}, lines, code
     rep, = reports
-    found = ", ".join(str(s) for s in sorted(rep.primitive_primes)) or "(none)"
-    lines = [f"primitive prime divisors of {args.a}^{args.n} - 1: {found}"]
-    if rep.exception != numtheory.EXCEPTION_NONE:
-        lines.append(f"exception: {rep.exception}")
-    return _ppd_payload(rep), lines, code
+
+    def lines():
+        found = ", ".join(str(s) for s in sorted(rep.primitive_primes)) or "(none)"
+        yield f"primitive prime divisors of {args.a}^{args.n} - 1: {found}"
+        if rep.exception != numtheory.EXCEPTION_NONE:
+            yield f"exception: {rep.exception}"
+    return _ppd_payload(rep), lines(), code
 
 
 def _cmd_ppd_above(args, diagnostics):
     _read(args, "ppd-above")
     rep = numtheory.ppd_exists_above(args.a, args.n, args.q)
-    verdict = "true" if rep.exists_above_threshold else "false"
-    lines = [
-        f"primitive prime divisor of {args.a}^{args.n} - 1 above {args.q}: {verdict}",
-        f"residual after stripping: {rep.residual}",
-    ]
-    return _ppd_payload(rep), lines, EXIT_OK
+
+    def lines():
+        verdict = "true" if rep.exists_above_threshold else "false"
+        yield f"primitive prime divisor of {args.a}^{args.n} - 1 above {args.q}: {verdict}"
+        yield f"residual after stripping: {rep.residual}"
+    return _ppd_payload(rep), lines(), EXIT_OK
 
 
 def _cmd_factor(args, diagnostics):
@@ -235,18 +241,24 @@ def _cmd_factor(args, diagnostics):
         code = EXIT_RESOURCE
     payload = {"n": f.base_n, "factors": [[p, e] for p, e in f.factors],
                "complete": f.complete, "cofactor": f.cofactor}
-    return payload, [f"{args.n} = {f}"], code
+
+    def lines():
+        yield f"{args.n} = {f}"
+    return payload, lines(), code
 
 
 def _cmd_mu(args, diagnostics):
     s = _call(spectra, _SPECTRUM_FAMILIES[args.family], args.family, args.params, args)
     payload = {"label": s.label, "mu": s.sorted_mu()}
-    lines = [s.label, "mu: " + " ".join(map(str, s.sorted_mu()))]
     if args.command == "omega":
-        omega = spectra.omega_closure(s)
-        payload["omega"] = omega
-        lines.append("omega: " + " ".join(map(str, omega)))
-    return payload, lines, EXIT_OK
+        payload["omega"] = spectra.omega_closure(s)
+
+    def lines():
+        yield s.label
+        yield "mu: " + " ".join(map(str, payload["mu"]))
+        if "omega" in payload:
+            yield "omega: " + " ".join(map(str, payload["omega"]))
+    return payload, lines(), EXIT_OK
 
 
 def _cmd_graph(args, diagnostics):
@@ -261,17 +273,18 @@ def _cmd_graph(args, diagnostics):
         "t": part.t,
     }
     if args.dot:
-        dot = primegraph.to_dot(g, part, label=s.label)
-        payload["dot"] = dot
-        return payload, [dot.rstrip("\n")], EXIT_OK
-    lines = [
-        s.label,
-        "vertices: " + " ".join(map(str, sorted(g.vertices))),
-        "edges: " + (" ".join(f"{r}~{t}" for r, t in sorted(g.edges)) or "(none)"),
-        f"components (t={part.t}): " +
-        "; ".join(" ".join(map(str, sorted(c))) for c in part.components),
-    ]
-    return payload, lines, EXIT_OK
+        payload["dot"] = primegraph.to_dot(g, part, label=s.label)
+
+    def lines():
+        if args.dot:
+            yield payload["dot"].rstrip("\n")
+            return
+        yield s.label
+        yield "vertices: " + " ".join(map(str, payload["vertices"]))
+        yield "edges: " + (" ".join(f"{r}~{t}" for r, t in payload["edges"]) or "(none)")
+        yield f"components (t={part.t}): " + "; ".join(
+            " ".join(map(str, c)) for c in payload["components"])
+    return payload, lines(), EXIT_OK
 
 
 def _cmd_oracle(args, diagnostics):
@@ -279,17 +292,22 @@ def _cmd_oracle(args, diagnostics):
                                       **_read(args, "oracle", "cap"))
     payload = {"label": s.label, "mu": s.sorted_mu(),
                "omega": spectra.omega_closure(s)}
-    lines = [s.label, "mu: " + " ".join(map(str, s.sorted_mu()))]
+    code = EXIT_OK
     if args.family in _SPECTRUM_FAMILIES:  # pgl2 and psl2 have a closed form
         formula = getattr(spectra, _SPECTRUM_FAMILIES[args.family][0])(args.p, args.n)
         agree = formula.mu == s.mu
         payload["formula_mu"] = formula.sorted_mu()
         payload["matches_formula"] = agree
-        lines.append(f"matches closed form {formula.sorted_mu()}: "
-                     f"{'yes' if agree else 'NO'}")
         if not agree:
-            return payload, lines, EXIT_VERIFY_FAILED
-    return payload, lines, EXIT_OK
+            code = EXIT_VERIFY_FAILED
+
+    def lines():
+        yield s.label
+        yield "mu: " + " ".join(map(str, payload["mu"]))
+        if "formula_mu" in payload:
+            yield (f"matches closed form {payload['formula_mu']}: "
+                   f"{'yes' if payload['matches_formula'] else 'NO'}")
+    return payload, lines(), code
 
 
 def _cmd_catalan(args, diagnostics):
@@ -297,10 +315,12 @@ def _cmd_catalan(args, diagnostics):
     payload = {"bound": args.bound, "solutions": [
         {"p": s.p, "m": s.m, "q": s.q, "n": s.n, "value": s.value,
          "family": s.family} for s in sols]}
-    lines = [f"{s.p}^{s.m} = {s.q}^{s.n} + 1 = {s.value}  [{s.family}]"
-             for s in sols]
-    lines.append(f"{len(sols)} solutions up to {args.bound}")
-    return payload, lines, EXIT_OK
+
+    def lines():
+        for s in sols:
+            yield f"{s.p}^{s.m} = {s.q}^{s.n} + 1 = {s.value}  [{s.family}]"
+        yield f"{len(sols)} solutions up to {args.bound}"
+    return payload, lines(), EXIT_OK
 
 
 def _cmd_verify(args, diagnostics):
@@ -309,22 +329,65 @@ def _cmd_verify(args, diagnostics):
     if not isinstance(reports, list):  # verify_all alone gives several
         reports = [reports]
     ok = all(r.ok for r in reports)
-    lines = []
-    for r in reports:
-        lines.extend(r.lines())
     counts = sum(len(r.items) for r in reports)
     passed = sum(1 for r in reports for it in r.items if it.passed)
     errata = sum(len(r.errata) for r in reports)
-    summary = f"{passed}/{counts} checks passed"
-    if errata:
-        summary += f"; {errata} documented errata reported"
-    lines.append(summary)
     payload = {"reports": [r.to_payload() for r in reports], "ok": ok,
                "checks": counts, "passed": passed, "errata": errata}
-    return payload, lines, EXIT_OK if ok else EXIT_VERIFY_FAILED
+
+    def lines():
+        for r in reports:
+            yield from r.lines()
+        summary = f"{passed}/{counts} checks passed"
+        if errata:
+            summary += f"; {errata} documented errata reported"
+        yield summary
+    return payload, lines(), EXIT_OK if ok else EXIT_VERIFY_FAILED
+
+
+def _json(value, indent: str) -> str:
+    """value as the json module renders it with indent=2 and sort_keys=True,
+    nested at this indent.
+
+    With an indent, json before Python 3.13 encodes in pure Python, one
+    integer at a time; here a list of ints (type int exactly, so no bool)
+    is joined in C.  A leaf other than str, int, bool and None goes to
+    json.dumps, whose rendering of a leaf has no indent to differ in.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join(_json(v, inner) for v in value)
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # json.dumps sorts the keys before it turns them into strings
+        body = sep.join(
+            encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+            + ": " + _json(v, inner) for k, v in sorted(value.items()))
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return json.dumps(value)
 
 
 def render_document(command: str, inputs: dict, result, diagnostics) -> str:
+    """The --json document, byte for byte the json module's rendering of it
+    with indent=2 and sort_keys=True, and a newline."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -332,7 +395,7 @@ def render_document(command: str, inputs: dict, result, diagnostics) -> str:
         "result": result,
         "diagnostics": diagnostics,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json(doc, "") + "\n"
 
 
 def _inputs_of(args) -> dict:

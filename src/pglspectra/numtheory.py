@@ -178,11 +178,20 @@ class Factorization:
         return self
 
     def divisors(self) -> list[int]:
-        """All positive divisors of base_n, ascending; needs completeness."""
+        """All positive divisors of base_n, ascending; needs completeness.
+
+        Each prime p^e extends the ascending list by e ascending runs, each
+        the one before times p; one sort merges the e + 1 runs.
+        """
         divs = [1]
         for p, e in self.require_complete().factors:
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return sorted(divs)
+            run = divs
+            divs = divs.copy()
+            for _ in range(e):
+                run = [d * p for d in run]
+                divs += run
+            divs.sort()
+        return divs
 
     def __str__(self) -> str:
         if not self.factors and self.cofactor == 1:
@@ -697,8 +706,8 @@ def catalan_solutions(value_bound: int) -> list[CatalanSolution]:
     classified into the Mersenne family (p = 2), the Fermat family (q = 2)
     or the single exceptional solution 3^2 = 2^3 + 1.
     """
-    if value_bound < 9:
-        raise ValueError("value_bound must be >= 9")
+    if value_bound < 9:  # the bound of `catalan` and of `verify --bound`
+        raise ValueError(f"bound must be >= 9, got {value_bound}")
     out = []
     k = 1
     while (power := 1 << k) <= value_bound:

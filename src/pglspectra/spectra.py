@@ -93,11 +93,16 @@ def maximal_elements(orders, label: str = "", pieces=None) -> Spectrum:
 
 
 def omega_closure(s: Spectrum) -> list[int]:
-    """The full divisor-closed spectrum omega, ascending (always contains 1)."""
-    out: set[int] = set()
+    """The full divisor-closed spectrum omega, ascending (always contains 1).
+
+    Each order's divisors come ascending, so one sort merges them as runs;
+    dict.fromkeys then drops the divisors that orders share, keeping order.
+    """
+    divs: list[int] = []
     for m in s.mu:
-        out.update(s.factorization(m).divisors())
-    return sorted(out)
+        divs += s.factorization(m).divisors()
+    divs.sort()
+    return list(dict.fromkeys(divs))
 
 
 def _mu_projective(p: int, n: int, special: bool) -> Spectrum:

@@ -321,8 +321,11 @@ def verify_lemma1(n_max: int = DEFAULT_N_MAX) -> Report:
     Uses the exact cyclotomic-residual method, so rows stay cheap even where
     p^n - 1 is far beyond factoring range.  A documented false instance is
     reported as an erratum rather than failing the run; an undocumented one
-    fails it.
+    fails it.  n_max must reach the largest m, so that no row is empty.
     """
+    m_max = max(m for _, m, _ in PPD_THRESHOLD_ROWS)
+    if n_max < m_max:
+        raise ValueError(f"nmax must be >= {m_max}, got {n_max}")
     report = Report(f"lemma1: primitive prime divisor above threshold, n up to {n_max}")
     for p, m, q in PPD_THRESHOLD_ROWS:
         failing = [n for n in range(m, n_max + 1)

@@ -171,6 +171,28 @@ def test_rejected_argument_is_a_json_document(capsys, argv):
     assert diagnostic.startswith("domain error: ")
 
 
+@pytest.mark.parametrize("nmax", ["0", "6"])
+@pytest.mark.parametrize("target", ["lemma1", "all"])
+def test_verify_nmax_below_a_row_m_is_a_domain_error(capsys, target, nmax):
+    # the row (19, 7, 37) would check the empty range [7, nmax] and pass
+    code, out, err = run(capsys, "verify", target, "--nmax", nmax)
+    assert (code, out, err) == (2, "", f"error: nmax must be >= 7, got {nmax}\n")
+    code, doc, _ = run_json(capsys, "verify", target, "--nmax", nmax)
+    assert code == 2
+    assert doc["result"] is None
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (("catalan", "4"), 4),
+    (("verify", "lemma2", "--bound", "5"), 5),
+    (("verify", "all", "--bound", "8"), 8),
+])
+def test_bound_error_names_the_bound_given(capsys, argv, bound):
+    # "bound" is both catalan's positional argument and verify's --bound
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: bound must be >= 9, got {bound}\n")
+
+
 def test_oracle_n_below_1_is_a_domain_error(capsys):
     # not a field outside the caps (exit 3): the same answer as mu gives
     for n in ("0", "-1"):
@@ -357,6 +379,92 @@ def test_json_schema_and_round_trip(capsys):
     assert doc["diagnostics"] == []
     # byte-identical re-render
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == raw
+
+
+def _oracle_rendering(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {},
+    [],
+    (),
+    {"a": [], "b": {}, "c": [[], {}, [[]], [{}]], "d": {"e": {"f": {}}}},
+    {"ints": [0, -1, -(2**70), 2**64, 2**64 + 1, 10**40],
+     "bools": [True, False, True],
+     "mixed": [1, True, 2, False, None, 0, -3],
+     "leading_bool": [False, 1, 2], "bool_and_none": [None, True]},
+    {"tuple": (1, (2, 3), ("x", [4, (5,)])), "in_list": [(), (None,), (True, 7)]},
+    {"text": ["", "plain", "é ü ß", "☃ 😀 \u2028", "\x00\x01\x1f\x7f",
+              "tab\tnew\nline\rfeed\f\b", 'quote" back\\slash /'],
+     "é \n": "key with non-ASCII and control characters"},
+    {"none": None, "t": True, "f": False, "zero": 0, "neg": -5, "list_of_none": [None]},
+    {10: "int keys sort as numbers", 2: "before 10"},
+    [[1, 2], [3], [[4, -5], []], [2**65]],
+])
+def test_render_document_matches_json_dumps_on_synthetic_documents(value):
+    diagnostics = ["note \u00e9\t", "\x1b[0m"]
+    doc = {"schema_version": cli.SCHEMA_VERSION, "command": "x", "inputs": {"v": value},
+           "result": value, "diagnostics": diagnostics}
+    assert cli.render_document("x", {"v": value}, value, diagnostics) == _oracle_rendering(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ppd", "7", "12", "--upto"),
+    ("ppd", "2", "6"),
+    ("ppd-above", "7", "5", "13"),
+    ("factor", "28398240"),
+    ("--budget", "100", "factor", str(999999999999989 * 999998999999977)),  # exit 3
+    *[(command, *family) for command in ("mu", "omega") for family in (
+        ("pgl2", "7", "4"), ("psl2", "3", "2"), ("sym", "20"), ("alt", "20"),
+        ("metacyclic", "5", "8", "2"), ("f4psi", "4"))],
+    ("omega", "psl2", "37", "24"),  # 2.2 MB
+    ("graph", "pgl2", "7", "4"),
+    ("graph", "psl2", "7", "4", "--dot"),
+    ("--cap", "49", "oracle", "psl2", "7", "2"),
+    ("oracle", "gl2", "3", "1"),
+    ("catalan", "1000000"),
+    ("verify", "all"),
+    ("catalan", "4"),  # rejected: a null result
+])
+def test_render_document_matches_json_dumps_on_every_command(capsys, monkeypatch, argv):
+    # the oracle renders the very objects main passed, tuples and bools included
+    docs = []
+    render = cli.render_document
+
+    def recording(command, inputs, result, diagnostics):
+        docs.append({"schema_version": cli.SCHEMA_VERSION, "command": command,
+                     "inputs": inputs, "result": result, "diagnostics": diagnostics})
+        return render(command, inputs, result, diagnostics)
+
+    monkeypatch.setattr(cli, "render_document", recording)
+    try:
+        code, out, _ = run(capsys, "--json", *argv)
+    finally:
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
+    doc, = docs
+    assert out == _oracle_rendering(doc)
+    assert code in (0, 2, 3)
+
+
+def test_text_lines_are_built_only_in_text_mode(capsys, monkeypatch):
+    # under --json no element of omega is formatted as text
+    formatted = []
+    real_closure = spectra.omega_closure
+
+    class Traced(int):
+        def __str__(self):
+            formatted.append(int(self))
+            return int.__str__(self)
+
+    monkeypatch.setattr(spectra, "omega_closure",
+                        lambda s: [Traced(d) for d in real_closure(s)])
+    code, doc, _ = run_json(capsys, "omega", "pgl2", "3", "2")
+    assert code == 0 and doc["result"]["omega"] == [1, 2, 3, 4, 5, 8, 10]
+    assert formatted == []
+    code, out, _ = run(capsys, "omega", "pgl2", "3", "2")
+    assert code == 0 and "omega: 1 2 3 4 5 8 10" in out
+    assert formatted == [1, 2, 3, 4, 5, 8, 10]
 
 
 def test_json_round_trip_verify(capsys):

@@ -309,6 +309,25 @@ def test_divisors_against_naive():
         assert nt.divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
+def _divisors_by_trial(n: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small) | {n // d for d in small})
+
+
+@pytest.mark.parametrize("factors", [
+    (),
+    ((2, 30),),
+    ((3, 20), (5, 3), (7, 1)),
+    ((2, 5), (3, 4), (5, 2), (7, 1), (11, 1), (13, 1)),
+    ((101, 3), (1000003, 1)),
+])
+def test_factorization_divisors_strictly_ascending_and_complete(factors):
+    n = math.prod(p**e for p, e in factors)
+    divs = nt.Factorization(n, factors).divisors()
+    assert all(a < b for a, b in zip(divs, divs[1:]))
+    assert divs == _divisors_by_trial(n)
+
+
 def test_divisors_propagates_incomplete():
     nt.configure(budget=200)
     try:

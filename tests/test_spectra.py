@@ -134,6 +134,28 @@ def test_omega_closure_examples():
     assert sp.omega_closure(sp.maximal_elements({6, 7, 8})) == [1, 2, 3, 4, 6, 7, 8]
 
 
+def omega_closure_by_set_union(s):
+    """The closure as a set union sorted once: the reference for omega_closure."""
+    out: set[int] = set()
+    for m in s.mu:
+        out.update(s.factorization(m).divisors())
+    return sorted(out)
+
+
+@pytest.mark.parametrize("builder, args", [
+    ("mu_pgl2", (37, 24)), ("mu_psl2", (37, 24)),
+    ("mu_pgl2", (17, 24)), ("mu_psl2", (17, 24)),
+    ("mu_pgl2", (73, 20)), ("mu_psl2", (73, 20)),
+    ("mu_psl2", (2, 10)), ("mu_pgl2", (3, 1)),
+    ("omega_symmetric", (30,)), ("omega_alternating", (30,)),
+    ("omega_metacyclic", (5, 8, 2)), ("omega_metacyclic", (91, 12, 10)),
+    ("mu_psi_f4", (4,)),
+])
+def test_omega_closure_matches_set_union(builder, args):
+    s = getattr(sp, builder)(*args)
+    assert sp.omega_closure(s) == omega_closure_by_set_union(s)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sets(st.integers(min_value=1, max_value=400), min_size=1, max_size=12))
 def test_mu_omega_round_trip(orders):

@@ -37,6 +37,15 @@ def test_verify_lemma1_all_other_rows_clean():
     assert all(it.passed for it in clean)
 
 
+@pytest.mark.parametrize("n_max", [0, 4, 6])
+def test_verify_lemma1_rejects_n_max_below_a_row_m(n_max):
+    # below m = 7 of the (19, 7, 37) row that row would check nothing
+    with pytest.raises(ValueError, match=f"nmax must be >= 7, got {n_max}"):
+        vf.verify_lemma1(n_max)
+    with pytest.raises(ValueError, match=f"nmax must be >= 7, got {n_max}"):
+        vf.verify_all(n_max=n_max)
+
+
 def test_verify_lemma2():
     report = vf.verify_lemma2(10**5)
     assert report.ok
