@@ -412,9 +412,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    numtheory.configure(seed=args.seed, budget=args.budget)
     diagnostics: list[str] = []
+    previous = numtheory.configure()
     try:
+        numtheory.configure(seed=args.seed, budget=args.budget)
         if args.cap is not None and args.cap < 1:
             raise ValueError(f"--cap must be >= 1, got {args.cap}")
         result, lines, code = args.handler(args, diagnostics)
@@ -427,6 +428,8 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE if resource else EXIT_USAGE
+    finally:  # the library's seed and budget are left as this call found them
+        numtheory.configure(**previous)
     if args.json:
         sys.stdout.write(render_document(
             args.command, _inputs_of(args), result, diagnostics))

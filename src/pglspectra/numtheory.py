@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from .errors import FactorizationIncomplete, NotCoprime
 
 # Factoring defaults.  configure() sets the rho budget and seed that factor()
-# uses when a call passes none; cli.main calls it on every invocation.
+# uses when a call passes none; cli.main sets them for one invocation.
 DEFAULT_TRIAL_BOUND = 10**5
 DEFAULT_RHO_BUDGET = 10**7
 DEFAULT_SEED = 0
@@ -52,17 +52,26 @@ _rho_budget = DEFAULT_RHO_BUDGET
 _seed = DEFAULT_SEED
 
 
-def configure(*, seed: int | None = None, budget: int | None = None) -> None:
+def _checked_budget(budget: int) -> int:
+    if budget < 0:  # 0 is trial division only
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return budget
+
+
+def configure(*, seed: int | None = None, budget: int | None = None) -> dict[str, int]:
     """Set the process-wide rho seed and budget; None keeps the current one.
 
     The values stay until the next call; individual functions also accept
-    per-call overrides.
+    per-call overrides.  A budget below 0 is rejected.  Returns the values
+    it replaced, so that configure(**previous) puts them back.
     """
     global _seed, _rho_budget
+    previous = {"seed": _seed, "budget": _rho_budget}
+    if budget is not None:
+        _rho_budget = _checked_budget(budget)
     if seed is not None:
         _seed = seed
-    if budget is not None:
-        _rho_budget = budget
+    return previous
 
 
 # ---------------------------------------------------------------------------
@@ -318,29 +327,18 @@ def _as_perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-# Complete factorizations for the whole process, keyed by (n, budget, seed):
-# a call is answered only by a factorization found under its own rho limits,
-# by factor() or, from the pieces of n, by factor_pieces().
-_COMPLETE_CACHE: dict[tuple[int, int, int], Factorization] = {}
+# Every result of factor(), complete or not, keyed by all that decides it:
+# (n, modulus, budget, seed), modulus that of a _Congruent n or 1.  The trial
+# bound and Miller-Rabin bases are constants and rho is seeded by seed and
+# cofactor, so an earlier call changes how fast a later one answers, not what.
+_FACTOR_CACHE: dict[tuple[int, int, int, int], Factorization] = {}
 
 
-def _factorization(key: tuple[int, int, int], counts: Counter[int],
-                   probable: set[int], cofactor: int) -> Factorization:
-    """The Factorization of key[0] from its prime counts and unfactored cofactor.
-
-    key is (n, budget, seed).  The result is complete iff cofactor == 1, and
-    a complete one is cached under key.
-    """
-    result = Factorization(
-        base_n=key[0],
-        factors=tuple(sorted(counts.items())),
-        complete=cofactor == 1,
-        cofactor=cofactor,
-        probable=tuple(sorted(probable)),
-    )
-    if result.complete and len(_COMPLETE_CACHE) < 200_000:
-        _COMPLETE_CACHE[key] = result
-    return result
+def _factorization(n: int, counts: Counter[int], probable: set[int],
+                   cofactor: int) -> Factorization:
+    """The Factorization of n from its prime counts and unfactored cofactor."""
+    return Factorization(n, tuple(sorted(counts.items())), cofactor == 1,
+                         cofactor, tuple(sorted(probable)))
 
 
 def factor(n: int, *, budget: int | None = None,
@@ -361,16 +359,16 @@ def factor(n: int, *, budget: int | None = None,
     it, when those are fewer), so every prime below the bound that divides
     n is still divided out, and a cofactor below its square is still prime.
     Rho iterates x -> x^e + c.  Without a congruence e = 2: all primes
-    below the bound and x -> x^2 + c.
+    below the bound and x -> x^2 + c.  A budget below 0 is rejected.
     """
     if n < 1:
         raise ValueError("factor requires n >= 1")
     k = n.modulus if type(n) is _Congruent else 1
     n = int(n)
-    budget = _rho_budget if budget is None else budget
+    budget = _rho_budget if budget is None else _checked_budget(budget)
     seed = _seed if seed is None else seed
-    key = (n, budget, seed)
-    cached = _COMPLETE_CACHE.get(key)
+    key = (n, k, budget, seed)
+    cached = _FACTOR_CACHE.get(key)
     if cached is not None:
         return cached
     bound = DEFAULT_TRIAL_BOUND
@@ -422,7 +420,10 @@ def factor(n: int, *, budget: int | None = None,
         cofactor *= c**mult
 
     settle(m, 1)
-    return _factorization(key, counts, probable, cofactor)
+    result = _factorization(n, counts, probable, cofactor)
+    if len(_FACTOR_CACHE) < 200_000:
+        _FACTOR_CACHE[key] = result
+    return result
 
 
 def factor_pieces(pieces) -> Factorization:
@@ -431,24 +432,16 @@ def factor_pieces(pieces) -> Factorization:
     The pieces need not be coprime: prime counts are summed, probable primes
     united, and the stuck cofactors multiplied.  The result is complete only
     if every piece factored completely; the product itself is never factored
-    whole.  Complete results are cached under the product and the current
-    rho budget and seed, so a repeat call, or factor() of the product under
-    the same limits, is one lookup.
+    whole.  Each piece's factorization is cached by factor(), so a repeat
+    call costs a lookup per piece and the merge.
     """
-    pieces = tuple(pieces)
-    key = (math.prod(pieces), _rho_budget, _seed)
-    cached = _COMPLETE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    found = [factor(piece) for piece in pieces]
     counts: Counter[int] = Counter()
-    probable: set[int] = set()
-    cofactor = 1
-    for piece in pieces:
-        f = factor(piece)
+    for f in found:
         counts.update(f.as_dict())
-        probable.update(f.probable)
-        cofactor *= f.cofactor
-    return _factorization(key, counts, probable, cofactor)
+    return _factorization(math.prod(f.base_n for f in found), counts,
+                          {s for f in found for s in f.probable},
+                          math.prod(f.cofactor for f in found))
 
 
 def divisors(n: int) -> list[int]:

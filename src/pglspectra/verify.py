@@ -315,6 +315,12 @@ def verify_table1() -> Report:
     return report
 
 
+def _check_n_max(n_max: int) -> None:
+    m_max = max(m for _, m, _ in PPD_THRESHOLD_ROWS)
+    if n_max < m_max:
+        raise ValueError(f"nmax must be >= {m_max}, got {n_max}")
+
+
 def verify_lemma1(n_max: int = DEFAULT_N_MAX) -> Report:
     """Check each threshold row: a primitive prime divisor > q for all n in [m, n_max].
 
@@ -323,9 +329,7 @@ def verify_lemma1(n_max: int = DEFAULT_N_MAX) -> Report:
     reported as an erratum rather than failing the run; an undocumented one
     fails it.  n_max must reach the largest m, so that no row is empty.
     """
-    m_max = max(m for _, m, _ in PPD_THRESHOLD_ROWS)
-    if n_max < m_max:
-        raise ValueError(f"nmax must be >= {m_max}, got {n_max}")
+    _check_n_max(n_max)
     report = Report(f"lemma1: primitive prime divisor above threshold, n up to {n_max}")
     for p, m, q in PPD_THRESHOLD_ROWS:
         failing = [n for n in range(m, n_max + 1)
@@ -423,12 +427,10 @@ def check_pgl2_component_structure(p: int, n: int) -> Report:
 def verify_all(n_max: int = DEFAULT_N_MAX,
                value_bound: int = DEFAULT_VALUE_BOUND) -> list[Report]:
     """Run every checker, including the component-structure battery."""
-    reports = [
-        verify_table1(),
-        verify_lemma1(n_max),
-        verify_lemma2(value_bound),
-        verify_case_factorizations(),
-    ]
+    _check_n_max(n_max)
+    lemma2 = verify_lemma2(value_bound)  # checks the bound, in microseconds
+    reports = [verify_table1(), verify_lemma1(n_max), lemma2,
+               verify_case_factorizations()]
     battery = Report("pgl2 component structure battery")
     for p, n in COMPONENT_PAIRS:
         battery.items.extend(check_pgl2_component_structure(p, n).items)

@@ -4,7 +4,7 @@ import pytest
 
 from pglspectra import cli
 from pglspectra import numtheory as nt
-from pglspectra import spectra
+from pglspectra import spectra, verify
 
 
 def run(capsys, *argv):
@@ -182,6 +182,22 @@ def test_verify_nmax_below_a_row_m_is_a_domain_error(capsys, target, nmax):
     assert doc["result"] is None
 
 
+def test_verify_all_checks_its_options_before_any_checker(capsys, monkeypatch):
+    # a rejected --nmax or --bound costs no checker's time
+    def not_reached(*args):
+        raise AssertionError("a checker ran before the options were checked")
+
+    monkeypatch.setattr(verify, "verify_table1", not_reached)
+    monkeypatch.setattr(verify, "verify_lemma1", not_reached)
+    code, out, err = run(capsys, "verify", "all", "--nmax", "0")
+    assert (code, out, err) == (2, "", "error: nmax must be >= 7, got 0\n")
+    code, out, err = run(capsys, "verify", "all", "--bound", "8")
+    assert (code, out, err) == (2, "", "error: bound must be >= 9, got 8\n")
+    # with both rejected, --nmax is named, as the report order has it
+    code, out, err = run(capsys, "verify", "all", "--nmax", "6", "--bound", "8")
+    assert (code, out, err) == (2, "", "error: nmax must be >= 7, got 6\n")
+
+
 @pytest.mark.parametrize("argv, bound", [
     (("catalan", "4"), 4),
     (("verify", "lemma2", "--bound", "5"), 5),
@@ -217,6 +233,21 @@ def test_cap_below_1_is_a_domain_error(capsys):
     # any other cap is used as given
     assert run(capsys, "--cap", "1", "mu", "sym", "2")[0] == 3
     assert run(capsys, "--cap", "1", "mu", "sym", "1")[0] == 0
+
+
+def test_negative_budget_is_a_domain_error(capsys):
+    # budget 0 is trial division only; below it nothing is meant
+    for budget, argv in (("-1", ("factor", "91")),
+                         ("-5", ("factor", "1000000016000000063"))):
+        code, out, err = run(capsys, "--budget", budget, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: budget must be >= 0, got {budget}\n"
+        code, doc, _ = run_json(capsys, "--budget", budget, *argv)
+        assert code == 2
+        assert doc["result"] is None
+        assert doc["diagnostics"] == [f"domain error: budget must be >= 0, got {budget}"]
+    code, out, _ = run(capsys, "--budget", "0", "factor", "91")
+    assert (code, out) == (0, "91 = 7*13\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -305,9 +336,65 @@ def test_budget_does_not_leak_into_next_call(capsys):
         nt.configure(seed=nt.DEFAULT_SEED, budget=nt.DEFAULT_RHO_BUDGET)
 
 
+def test_main_leaves_the_limits_it_set_behind_it(capsys):
+    # budget 1 ends with the main() call that was given it
+    try:
+        assert run(capsys, "--budget", "1", "--seed", "9", "ppd", "2", "1")[0] == 0
+        assert nt.factor(200000033 * 500000003).complete
+        assert nt.configure() == {"seed": nt.DEFAULT_SEED, "budget": nt.DEFAULT_RHO_BUDGET}
+    finally:
+        nt.configure(seed=nt.DEFAULT_SEED, budget=nt.DEFAULT_RHO_BUDGET)
+
+
+def test_main_leaves_limits_set_by_configure_in_place(capsys):
+    # a main() call with its own defaults does not reset what configure set
+    nt.configure(seed=7, budget=5)
+    try:
+        assert run(capsys, "factor", "91")[0] == 0
+        assert not nt.factor(200000033 * 500000003).complete
+        assert run(capsys, "--budget", "-1", "factor", "91")[0] == 2
+        assert nt.configure() == {"seed": 7, "budget": 5}
+    finally:
+        nt.configure(seed=nt.DEFAULT_SEED, budget=nt.DEFAULT_RHO_BUDGET)
+
+
+# Each command line alone, and in one process after others that factor the
+# same numbers by another route or under other limits.
+HISTORY_BATTERY = (
+    # by its pieces 97^24 + 1 factors within this budget; whole, it does not
+    ("--budget", "20000", "graph", "pgl2", "97", "24"),
+    ("--budget", "20000", "factor", str(97**24 + 1)),
+    # the stripped Phi_42(19) factors by its congruence, not as a plain int
+    ("--json", "--budget", "2000", "ppd", "19", "42"),
+    ("--json", "--budget", "2000", "factor", "332780793373183"),
+    ("--seed", "5", "--budget", "2000", "factor", "332780793373183"),
+    # a stuck piece Phi_37(3), met again by other routes
+    ("--json", "--budget", "200", "graph", "pgl2", "3", "37"),
+    ("--budget", "200", "graph", "psl2", "3", "37"),
+    ("--json", "--budget", "200", "factor", str(13097927 * 17189128703)),
+    ("--budget", "200", "factor", str(3**37 - 1)),
+    # one number under two budgets
+    ("ppd", "13", "19"),
+    ("--json", "--budget", "1", "ppd", "13", "19"),
+    ("--json", "--budget", "-1", "factor", "91"),
+)
+
+
+def test_no_outcome_depends_on_the_calls_before_it(capsys, monkeypatch):
+    alone = {}
+    for argv in HISTORY_BATTERY:
+        monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+        alone[argv] = run(capsys, *argv)[:2]
+    assert alone[HISTORY_BATTERY[1]][0] == 3  # 97^24 + 1 whole at budget 20000
+    for order in (HISTORY_BATTERY, HISTORY_BATTERY[::-1]):
+        monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+        for argv in order:
+            assert run(capsys, *argv)[:2] == alone[argv], argv
+
+
 def test_graph_incomplete_cyclotomic_piece_exit_3(capsys, monkeypatch):
     # Phi_37(3) = 13097927 * 17189128703 does not split in 200 rho iterations
-    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
     try:
         code, doc, _ = run_json(capsys, "--budget", "200", "graph", "pgl2", "3", "37")
     finally:
@@ -535,7 +622,7 @@ def test_omega_f4psi_is_divisor_union_of_psi(capsys):
 
 def test_ppd_budget_exhaustion_exit_3(capsys, monkeypatch):
     # an earlier test may have cached the complete factorization of Phi_19(13)
-    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
     try:
         code, _, err = run(capsys, "--budget", "1", "ppd", "13", "19")
         assert code == 3
@@ -576,7 +663,7 @@ def test_oracle_disagreement_exits_1(capsys, monkeypatch):
 def test_budget_exit_does_not_depend_on_earlier_calls(capsys, monkeypatch):
     # a complete factorization found at the default budget does not answer
     # a later call under --budget 1 in the same process
-    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
     try:
         assert run(capsys, "ppd", "13", "19")[0] == 0
         code, _, err = run(capsys, "--budget", "1", "ppd", "13", "19")

@@ -231,11 +231,37 @@ def test_factor_hard_semiprime_succeeds_with_real_budget():
     assert nt.factor(p * q).as_dict() == {p: 1, q: 1}
 
 
-def test_factor_deterministic_for_fixed_seed():
+def test_factor_deterministic_for_fixed_seed(monkeypatch):
+    # the cache is emptied in between, so the two results are two computations
+    cache: dict = {}
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", cache)
     n = HARD_P1 * HARD_P2
     a = nt.factor(n, budget=2 * 10**7, seed=3)
+    cache.clear()
     b = nt.factor(n, budget=2 * 10**7, seed=3)
-    assert a == b
+    assert a == b and a is not b
+
+
+def test_negative_budget_is_rejected():
+    before = nt.configure()
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        nt.factor(91, budget=-1)
+    with pytest.raises(ValueError, match="budget must be >= 0, got -5"):
+        nt.configure(seed=9, budget=-5)
+    # the rejected call changed nothing, and budget 0 is trial division only
+    assert nt.configure() == before
+    assert nt.factor(91, budget=0).as_dict() == {7: 1, 13: 1}
+    assert not nt.factor(HARD_P1 * HARD_P2, budget=0).complete
+
+
+def test_configure_returns_the_limits_it_replaced():
+    previous = nt.configure(seed=4, budget=300)
+    try:
+        assert previous == {"seed": nt.DEFAULT_SEED, "budget": nt.DEFAULT_RHO_BUDGET}
+        assert nt.configure(**previous) == {"seed": 4, "budget": 300}
+        assert nt.configure() == previous
+    finally:
+        nt.configure(seed=nt.DEFAULT_SEED, budget=nt.DEFAULT_RHO_BUDGET)
 
 
 # --- divisors / mobius --------------------------------------------------------
@@ -264,27 +290,30 @@ def test_factor_pieces_incomplete_multiplies_stuck_cofactors():
         f.require_complete()
 
 
-def test_factorizations_are_cached_only_when_complete(monkeypatch):
+def test_factor_caches_every_outcome_under_what_decides_it(monkeypatch):
     cache: dict = {}
-    monkeypatch.setattr(nt, "_COMPLETE_CACHE", cache)
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", cache)
     f = nt.factor(2**64 + 1)
     assert f.complete and nt.factor(2**64 + 1) is f
-    g = nt.factor_pieces((3, 8, 100))
-    assert nt.factor_pieces((3, 8, 100)) is g
-    assert nt.factor(2400) is g
-    hard = 999999999999989 * 999998999999977
-    nt.configure(budget=200)
-    try:
-        incomplete = (nt.factor(hard), nt.factor_pieces((hard, 10, hard)))
-    finally:
-        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
-    assert not any(r.complete for r in incomplete)
-    assert not {hard, 10 * hard**2} & {key[0] for key in cache}
-    assert all(r.complete for r in cache.values())
+    # an incomplete result is kept too, and answers only the same limits
+    hard = HARD_P1 * HARD_P2
+    stuck = nt.factor(hard, budget=200)
+    assert not stuck.complete
+    assert nt.factor(hard, budget=200) is stuck
+    assert nt.factor(hard, budget=200, seed=1) is not stuck
+    # the modulus of a _Congruent is part of the key
+    piece = nt._cyclotomic_pieces(7, 5)[5]  # Phi_5(7) = 2801, a prime
+    tagged, plain = nt.factor(piece), nt.factor(2801)
+    assert tagged == plain and tagged is not plain
+    assert {key[:2] for key in cache if key[0] == 2801} == {(2801, 5), (2801, 1)}
+    # factor_pieces caches nothing of its own: only factor() writes entries
+    keys = set(cache)
+    nt.factor_pieces((3, 8, 100))
+    assert {key[0] for key in set(cache) - keys} == {3, 8, 100}
 
 
 def test_cache_answers_only_the_budget_that_filled_it(monkeypatch):
-    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
     n = 12865927 * 9468940004449
     f = nt.factor(n)
     assert f.complete

@@ -126,7 +126,7 @@ def test_build_graph_incomplete_cyclotomic_piece(monkeypatch):
     # 3^37 - 1 = 2 * Phi_37(3) and Phi_37(3) = 13097927 * 17189128703, which
     # rho cannot split in 200 iterations: the stuck piece poisons the graph
     # and no factorization of 3^37 - 1 whole is tried in its place
-    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
     s = sp.mu_pgl2(3, 37)
     nt.configure(budget=200)
     try:

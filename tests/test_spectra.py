@@ -220,7 +220,7 @@ def test_merged_pieces_equal_whole_factorization(monkeypatch):
     # cyclotomic pieces; each side starts from an empty cache, so neither
     # can just read the other's result back
     cache: dict = {}
-    monkeypatch.setattr(nt, "_COMPLETE_CACHE", cache)
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", cache)
     for p in (2, 3, 5, 7, 13, 17, 19):
         for n in range(1, 17):
             for s in (sp.mu_pgl2(p, n), sp.mu_psl2(p, n)):
@@ -261,7 +261,7 @@ def test_congruence_path_matches_plain_factor(monkeypatch):
     # the recorded pieces and the stripped Phi_n(a), factored with and
     # without their congruence, each from an empty cache
     cache: dict = {}
-    monkeypatch.setattr(nt, "_COMPLETE_CACHE", cache)
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", cache)
     congruent = [v for _, v in _recorded_pieces()]
     congruent += [nt._Congruent(nt._stripped_cyclotomic(a, n)[0], n)
                   for a in PAPER_BASES for n in range(1, 17)]

@@ -173,7 +173,7 @@ def test_case_factorizations_factor_only_tagged_pieces(monkeypatch):
         seen.append(n)
         return real_factor(n, **kwargs)
 
-    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
     monkeypatch.setattr(nt, "factor", recording_factor)
     monkeypatch.setattr(vf, "factor", recording_factor, raising=False)
     assert vf.verify_case_factorizations().lines() == expected
@@ -192,7 +192,7 @@ def test_verify_lemma1_undocumented_counterexample_fails(monkeypatch):
 
 
 def test_verify_table1_incomplete_cells_fail(monkeypatch):
-    monkeypatch.setattr(nt, "_COMPLETE_CACHE", {})
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
     nt.configure(budget=1)
     try:
         report = vf.verify_table1()
