@@ -11,6 +11,7 @@ the q-1 / p / q+1 formulas.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -164,13 +165,15 @@ class FieldCtx:
         return exp, log, zech
 
 
+@functools.lru_cache(maxsize=32)
 def field_ctx(p: int, n: int, degree_cap: int = DEFAULT_FIELD_DEGREE_CAP,
               size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> FieldCtx:
-    """Build GF(p^n) with the least monic irreducible modulus.
+    """GF(p^n) with the least monic irreducible modulus, built once per process.
 
     Candidates are compared by their descending-degree coefficient sequence
     (so GF(8) gets x^3 + x + 1, not x^3 + x^2 + 1); the stored coefficient
-    vector is constant-term first.
+    vector is constant-term first.  A FieldCtx is immutable, so equal
+    arguments share one; a rejected field is not cached and raises again.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -205,15 +208,6 @@ def mat_det(x, ctx: FieldCtx):
     return ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
 
 
-def linear_order(x, ctx: FieldCtx) -> int:
-    """Least k >= 1 with x^k the identity matrix."""
-    acc, k = x, 1
-    while acc != MAT_IDENTITY:
-        acc = mat_mul(acc, x, ctx)
-        k += 1
-    return k
-
-
 # ---------------------------------------------------------------------------
 # spectra from conjugacy-class representatives
 
@@ -231,12 +225,39 @@ def _companion_power(t: int, d: int, ctx: FieldCtx) -> tuple[int, int]:
     return k, ctx.mul(minus_d, prev)
 
 
+def _sl2_trace_orders(ctx: FieldCtx) -> list[int]:
+    """orders[t]: the order of every non-scalar element of SL(2, q) with trace t.
+
+    Such an element is conjugate to C(t, 1), and C^k = lam * I first gives
+    it order k * ord(lam), with ord(lam) = (q-1)/gcd(q-1, log lam).
+    """
+    q, log = ctx.q, ctx._log
+    powers = (_companion_power(t, 1, ctx) for t in range(q))
+    return [k * ((q - 1) // gcd(q - 1, log[lam])) for k, lam in powers]
+
+
+def _sl2_orders(ctx: FieldCtx):
+    """order(g) for g in SL(2, q), read from one table of q traces.
+
+    +-I have orders 1 and 2; every other element has the order of C(tr g, 1).
+    """
+    trace_orders = _sl2_trace_orders(ctx)
+
+    def order(g) -> int:
+        a, b, c, d = g
+        if b == c == 0 and a == d:
+            return 1 if a == 1 else 2
+        return trace_orders[ctx.add(a, d)]
+
+    return order
+
+
 def _class_orders(family: str, ctx: FieldCtx) -> set[int]:
     """Every element order of the family over ctx, not only the maximal ones.
 
     One Lucas sequence per orbit representative, as omega_bruteforce says.
     """
-    q = ctx.q
+    q, log = ctx.q, ctx._log
     if family in ("SL2", "PSL2"):
         scalars = {1, ctx.neg(1)}
         reps = [(t, 1) for t in range(q)]
@@ -245,13 +266,12 @@ def _class_orders(family: str, ctx: FieldCtx) -> set[int]:
         reps = [(1, d) for d in range(1, q)] + [(0, 1)]
         if q % 2:
             reps.append((0, ctx._exp[1]))
+    orders = {(q - 1) // gcd(q - 1, log[a]) for a in scalars}
+    if family == "SL2":
+        return orders | set(_sl2_trace_orders(ctx))
     powers = {_companion_power(t, d, ctx) for t, d in reps}
     if family in ("PGL2", "PSL2"):
         return {1} | {k for k, _ in powers}
-    log = ctx._log
-    orders = {(q - 1) // gcd(q - 1, log[a]) for a in scalars}
-    if family == "SL2":
-        return orders | {k * ((q - 1) // gcd(q - 1, log[lam])) for k, lam in powers}
     for k, lam in powers:
         orders.update(k * ((q - 1) // gcd(q - 1, j * k + log[lam])) for j in range(q - 1))
     return orders
@@ -340,29 +360,44 @@ class SubgroupWitness:
         return frozenset(o for o, _ in self.order_counts)
 
 
+_BINOCT_ORDERS = frozenset({1, 2, 3, 4, 6, 8})
+
+
+@functools.cache
+def _sl27():
+    """GF(7), SL(2,7) in lexicographic order and its element orders by trace,
+    built on the first search and kept for the process."""
+    ctx = field_ctx(7, 1)
+    return ctx, tuple(enumerate_sl2(ctx)), _sl2_orders(ctx)
+
+
 def find_binary_octahedral_subgroup(seed: int = 0) -> SubgroupWitness:
     """Search SL(2,7) for a 48-element subgroup with orders {1,2,3,4,6,8}.
 
-    Seeded random generator pairs are closed under multiplication (aborting
-    as soon as a closure passes 48 elements) until one yields a subgroup of
-    size 48 whose element-order set is {1,2,3,4,6,8} with a single
-    involution, i.e. a quaternion Sylow 2-subgroup.  Deterministic for a
-    fixed seed.
+    Seeded random generator pairs (x, y) are drawn until one yields a
+    subgroup of size 48 whose element-order set is {1,2,3,4,6,8} with a
+    single involution, i.e. a quaternion Sylow 2-subgroup.  Orders are read
+    from the trace table (+-I have orders 1 and 2), so a pair in which x, y
+    or xy has another order is passed over without closing it: its closure
+    holds that element and would be rejected.  The rest are closed under
+    multiplication, aborting as soon as a closure passes 48 elements.
+    Deterministic for a fixed seed.
     """
-    ctx = field_ctx(7, 1)
-    sl2 = enumerate_sl2(ctx)
+    ctx, sl2, order = _sl27()
     rng = random.Random(f"binoct:{seed}")
     for _ in range(_BINOCT_TRIALS):
         x = sl2[rng.randrange(len(sl2))]
         y = sl2[rng.randrange(len(sl2))]
+        if not {order(x), order(y), order(mat_mul(x, y, ctx))} <= _BINOCT_ORDERS:
+            continue
         try:
             closure = subgroup_closure([x, y], ctx, cap=48)
         except CapExceeded:
             continue
         if len(closure) != 48:
             continue
-        census = Counter(linear_order(g, ctx) for g in closure)
-        if set(census) == {1, 2, 3, 4, 6, 8} and census[2] == 1:
+        census = Counter(map(order, closure))
+        if set(census) == _BINOCT_ORDERS and census[2] == 1:
             return SubgroupWitness(
                 generators=(x, y),
                 elements=tuple(closure),

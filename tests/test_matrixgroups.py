@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -20,12 +24,13 @@ def test_field_ctx_moduli():
 
 
 def test_field_ctx_rejects_bad_input():
-    with pytest.raises(NotPrime):
-        mg.field_ctx(6, 2)
-    with pytest.raises(CapExceeded):
-        mg.field_ctx(2, 5)
-    with pytest.raises(CapExceeded):
-        mg.field_ctx(101, 2)
+    for _ in range(2):  # a rejection is not cached: it raises on every call
+        with pytest.raises(NotPrime):
+            mg.field_ctx(6, 2)
+        with pytest.raises(CapExceeded):
+            mg.field_ctx(2, 5)
+        with pytest.raises(CapExceeded):
+            mg.field_ctx(101, 2)
 
 
 def test_field_size_and_encoding_round_trip():
@@ -96,7 +101,36 @@ def test_multiplicative_group_order():
         assert max(g_orders) == ctx.q - 1  # the group is cyclic of order q-1
 
 
+def test_field_ctx_is_built_once_per_argument_tuple():
+    assert mg.field_ctx(5, 2) is mg.field_ctx(5, 2)
+    assert mg.field_ctx(5, 2, degree_cap=2) is mg.field_ctx(5, 2, degree_cap=2)
+    maxsize = mg.field_ctx.cache_info().maxsize
+    assert maxsize is not None
+    for degree_cap in range(1, maxsize + 6):
+        mg.field_ctx(2, 1, degree_cap=degree_cap)
+    assert mg.field_ctx.cache_info().currsize == maxsize
+
+
+def test_import_builds_no_field():
+    # the fields and the SL(2,7) search space are built on first use
+    code = ("import pglspectra.cli, pglspectra.matrixgroups as mg; "
+            "assert mg.field_ctx.cache_info().currsize == 0; "
+            "assert mg._sl27.cache_info().currsize == 0")
+    src = Path(mg.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 # --- matrices -----------------------------------------------------------------------
+
+def linear_order(x, ctx):
+    """Least k >= 1 with x^k the identity matrix, by repeated multiplication."""
+    acc, k = x, 1
+    while acc != mg.MAT_IDENTITY:
+        acc = mg.mat_mul(acc, x, ctx)
+        k += 1
+    return k
+
 
 def test_group_orders_by_enumeration():
     for p, n in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)):
@@ -127,7 +161,7 @@ def test_projective_divides_linear():
             if mg.mat_det(m, ctx) == 0:
                 continue
             found += 1
-            lin = mg.linear_order(m, ctx)
+            lin = linear_order(m, ctx)
             assert gl_order % lin == 0
 
 
@@ -231,6 +265,15 @@ def test_enumerate_sl2_in_lexicographic_order(p, n):
 
 # --- closure -------------------------------------------------------------------------------
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_sl2_orders_by_trace_match_linear_order(p, n):
+    ctx = mg.field_ctx(p, n)
+    order = mg._sl2_orders(ctx)
+    linear = {g: linear_order(g, ctx) for g in mg.enumerate_sl2(ctx)}
+    assert {g: order(g) for g in linear} == linear
+    assert mg._class_orders("SL2", ctx) == set(linear.values())
+
+
 def test_subgroup_closure_identity():
     ctx = mg.field_ctx(7, 1)
     assert mg.subgroup_closure([(1, 0, 0, 1)], ctx=ctx) == [(1, 0, 0, 1)]
@@ -251,7 +294,7 @@ def test_subgroup_closure_sl23_inside_sl27():
     gens = [(0, 1, 6, 0), (0, 2, 3, 1)]
     closure = mg.subgroup_closure(gens, ctx=ctx)
     assert len(closure) == 24
-    census = Counter(mg.linear_order(g, ctx) for g in closure)
+    census = Counter(linear_order(g, ctx) for g in closure)
     assert set(census) == {1, 2, 3, 4, 6}
     # closed under multiplication
     satellite = set(closure)
@@ -284,6 +327,55 @@ def test_binary_octahedral_witness_is_pinned():
     w = mg.find_binary_octahedral_subgroup(seed=0)
     assert w.generators == ((3, 5, 4, 0), (3, 1, 1, 3))
     assert w.order_counts == ((1, 1), (2, 1), (3, 8), (4, 18), (6, 8), (8, 12))
+
+
+def find_binary_octahedral_unfiltered(seed):
+    """The search closing every drawn pair, with orders by repeated
+    multiplication: the reference for the trace filter of the library's."""
+    ctx = mg.field_ctx(7, 1)
+    sl2 = mg.enumerate_sl2(ctx)
+    rng = random.Random(f"binoct:{seed}")
+    for _ in range(mg._BINOCT_TRIALS):
+        x = sl2[rng.randrange(len(sl2))]
+        y = sl2[rng.randrange(len(sl2))]
+        try:
+            closure = mg.subgroup_closure([x, y], ctx, cap=48)
+        except CapExceeded:
+            continue
+        if len(closure) != 48:
+            continue
+        census = Counter(linear_order(g, ctx) for g in closure)
+        if set(census) == {1, 2, 3, 4, 6, 8} and census[2] == 1:
+            return mg.SubgroupWitness(
+                generators=(x, y),
+                elements=tuple(closure),
+                order_counts=tuple(sorted(census.items())),
+            )
+    raise RuntimeError(f"no 48-element witness found in {mg._BINOCT_TRIALS} trials")
+
+
+def test_trace_filter_keeps_every_witness():
+    for seed in range(100):
+        w = mg.find_binary_octahedral_subgroup(seed)
+        ref = find_binary_octahedral_unfiltered(seed)
+        assert (w.generators, w.elements, w.order_counts) == \
+            (ref.generators, ref.elements, ref.order_counts), seed
+
+
+def test_trace_filter_gives_up_at_the_same_draw(monkeypatch):
+    monkeypatch.setattr(mg, "_BINOCT_TRIALS", 20)
+    outcomes = Counter()
+    for seed in range(100):
+        try:
+            ref = find_binary_octahedral_unfiltered(seed)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                mg.find_binary_octahedral_subgroup(seed)
+            outcomes["raised"] += 1
+            continue
+        assert mg.find_binary_octahedral_subgroup(seed) == ref, seed
+        outcomes["found"] += 1
+    assert outcomes["raised"] and outcomes["found"]
 
 
 # --- scaling orbits against one sequence per characteristic polynomial ---------------
