@@ -22,8 +22,6 @@ from .errors import CapExceeded, NotPrime
 from .numtheory import is_prime
 from .spectra import maximal_elements
 
-DEFAULT_FIELD_DEGREE_CAP = 4
-DEFAULT_FIELD_SIZE_CAP = 10**4
 DEFAULT_ENUM_CAP = 32
 DEFAULT_CLOSURE_CAP = 100_000
 _BINOCT_TRIALS = 20_000  # generator pairs find_binary_octahedral_subgroup tries
@@ -82,7 +80,8 @@ class FieldCtx:
     with the constant term as the least significant digit.  The modulus is
     the lexicographically least monic irreducible polynomial of degree n
     (coefficients compared constant-term first).  Arithmetic goes by logs
-    to a primitive element g: g^i + g^j = g^(i + zech[j - i]).
+    to a primitive element g: g^i + g^j = g^(i + zech[j - i]).  Get one
+    from field_ctx(p, n); its tables hold O(q) entries.
     """
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
@@ -166,19 +165,19 @@ class FieldCtx:
 
 
 @functools.lru_cache(maxsize=32)
-def field_ctx(p: int, n: int, degree_cap: int = DEFAULT_FIELD_DEGREE_CAP,
-              size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> FieldCtx:
-    """GF(p^n) with the least monic irreducible modulus, built once per process.
+def field_ctx(p: int, n: int) -> FieldCtx:
+    """GF(p^n) with the least monic irreducible modulus, built once per (p, n).
 
     Candidates are compared by their descending-degree coefficient sequence
     (so GF(8) gets x^3 + x + 1, not x^3 + x^2 + 1); the stored coefficient
-    vector is constant-term first.  A FieldCtx is immutable, so equal
-    arguments share one; a rejected field is not cached and raises again.
+    vector is constant-term first.  A FieldCtx is immutable, so all callers
+    of one (p, n) share it.  A rejected (p, n) is not cached and raises
+    again.  No size is capped here: callers bound q, as oracle's --cap does.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if n < 1 or n > degree_cap or p**n > size_cap:
-        raise CapExceeded(f"GF({p}^{n}) outside caps (degree {degree_cap}, size {size_cap})")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     for high_to_low in product(range(p), repeat=n):
         cand = tuple(reversed(high_to_low)) + (1,)
         if _is_irreducible(cand, p):
@@ -305,7 +304,7 @@ def omega_bruteforce(family: str, p: int, n: int,
     q = p**n
     if q > cap:
         raise CapExceeded(f"q={q} exceeds enumeration cap {cap}")
-    ctx = field_ctx(p, n, degree_cap=n, size_cap=q)
+    ctx = field_ctx(p, n)
     label = {"GL2": f"GL(2,{q})", "SL2": f"SL(2,{q})",
              "PGL2": f"PGL(2,{q})", "PSL2": f"PSL(2,{q})"}[family]
     return maximal_elements(_class_orders(family, ctx), label=f"{label} enumerated")

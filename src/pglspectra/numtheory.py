@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 
 from .errors import FactorizationIncomplete, NotCoprime
 
-# Factoring defaults.  configure() sets the rho budget and seed that factor()
-# uses when a call passes none; cli.main sets them for one invocation.
+# Factoring defaults.  configure() alone sets the rho budget and seed that
+# factor() uses; cli.main sets them for one invocation.
 DEFAULT_TRIAL_BOUND = 10**5
 DEFAULT_RHO_BUDGET = 10**7
 DEFAULT_SEED = 0
@@ -52,23 +52,20 @@ _rho_budget = DEFAULT_RHO_BUDGET
 _seed = DEFAULT_SEED
 
 
-def _checked_budget(budget: int) -> int:
-    if budget < 0:  # 0 is trial division only
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    return budget
-
-
 def configure(*, seed: int | None = None, budget: int | None = None) -> dict[str, int]:
     """Set the process-wide rho seed and budget; None keeps the current one.
 
-    The values stay until the next call; individual functions also accept
-    per-call overrides.  A budget below 0 is rejected.  Returns the values
-    it replaced, so that configure(**previous) puts them back.
+    The only setter of the limits factor() reads at each call; they stay
+    until the next call.  A budget below 0 is rejected and changes nothing;
+    0 is trial division only.  Returns the values it replaced, so that
+    configure(**previous) puts them back.
     """
     global _seed, _rho_budget
     previous = {"seed": _seed, "budget": _rho_budget}
     if budget is not None:
-        _rho_budget = _checked_budget(budget)
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
+        _rho_budget = budget
     if seed is not None:
         _seed = seed
     return previous
@@ -341,8 +338,7 @@ def _factorization(n: int, counts: Counter[int], probable: set[int],
                          cofactor, tuple(sorted(probable)))
 
 
-def factor(n: int, *, budget: int | None = None,
-           seed: int | None = None) -> Factorization:
+def factor(n: int) -> Factorization:
     """Factor n >= 1: trial division below DEFAULT_TRIAL_BOUND, then Brent/Pollard rho.
 
     Never raises on hard input: if the per-cofactor budget runs out, the
@@ -359,14 +355,13 @@ def factor(n: int, *, budget: int | None = None,
     it, when those are fewer), so every prime below the bound that divides
     n is still divided out, and a cofactor below its square is still prime.
     Rho iterates x -> x^e + c.  Without a congruence e = 2: all primes
-    below the bound and x -> x^2 + c.  A budget below 0 is rejected.
+    below the bound and x -> x^2 + c.  The budget and seed are configure()'s.
     """
     if n < 1:
         raise ValueError("factor requires n >= 1")
     k = n.modulus if type(n) is _Congruent else 1
     n = int(n)
-    budget = _rho_budget if budget is None else _checked_budget(budget)
-    seed = _seed if seed is None else seed
+    budget, seed = _rho_budget, _seed
     key = (n, k, budget, seed)
     cached = _FACTOR_CACHE.get(key)
     if cached is not None:
@@ -593,18 +588,19 @@ def _stripped_cyclotomic(a: int, n: int) -> tuple[int, tuple[int, ...]]:
     return value, n_primes
 
 
-def primitive_prime_divisors(a: int, n: int, **factor_opts) -> PpdReport:
+def primitive_prime_divisors(a: int, n: int) -> PpdReport:
     """All primitive prime divisors of a^n - 1: the primes of the stripped Phi_n(a).
 
     One factorization of Phi_n(a) with the primes of n divided out (see
     _stripped_cyclotomic for why that is exact); its primes, completeness
     and probable primes are the report's.  For n = 1 the primitivity
     condition is vacuous and the result is just the prime set of a - 1.
+    The factoring budget and seed are configure()'s.
     """
     if a < 2 or n < 1:
         raise ValueError("need a >= 2 and n >= 1")
     value, _ = _stripped_cyclotomic(a, n)
-    f = factor(_Congruent(value, n), **factor_opts)
+    f = factor(_Congruent(value, n))
     return PpdReport(
         a=a, n=n, primitive_primes=frozenset(f.primes()),
         exception=zsigmondy_exception(a, n),

@@ -17,7 +17,7 @@ from .errors import NotCppPrime, NotPrime
 from .numtheory import (FAMILY_EXCEPTIONAL, FAMILY_UNCLASSIFIED, Factorization,
                         catalan_solutions, is_prime, multiplicative_order,
                         ppd_exists_above, primitive_prime_divisors)
-from .primegraph import build_graph, components
+from .primegraph import build_graph, components, mu_components
 from .spectra import mu_pgl2
 
 # ---------------------------------------------------------------------------
@@ -400,7 +400,8 @@ def verify_case_factorizations() -> Report:
 
 def check_pgl2_component_structure(p: int, n: int) -> Report:
     """Prime graph of mu(PGL(2, p^n)): two components, {p} isolated,
-    the rest exactly the primes of p^(2n) - 1.
+    the rest exactly the primes of p^(2n) - 1, and the maximal orders of
+    the second component exactly {p} (primegraph.mu_components).
 
     Those primes are read from the spectrum's factorizations of q - 1 and
     q + 1, which together are p^(2n) - 1.
@@ -415,7 +416,8 @@ def check_pgl2_component_structure(p: int, n: int) -> Report:
     pi1_expected = set(s.factorization(q - 1).require_complete().primes())
     pi1_expected |= set(s.factorization(q + 1).require_complete().primes())
     got: list[set[int]] = [set(c) for c in part.components]
-    passed = (part.t == 2 and got[1] == {p} and got[0] == pi1_expected)
+    passed = (part.t == 2 and got[1] == {p} and got[0] == pi1_expected
+              and mu_components(s, part).mu_sets[1] == {p})
     report = Report(f"pgl2 component structure p={p} n={n}")
     report.items.append(CheckItem(
         f"t=2, pi1=pi({p}^{2 * n}-1), pi2={{{p}}}",

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -671,3 +675,21 @@ def test_budget_exit_does_not_depend_on_earlier_calls(capsys, monkeypatch):
         assert "factoring budget exhausted" in err
     finally:
         nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
+
+
+def test_runs_without_sympy():
+    # sympy is a test-only dependency: with its import blocked, the commands
+    # and the subgroup search that reach each module still succeed
+    code = """
+import sys
+sys.modules["sympy"] = None
+from pglspectra import cli, matrixgroups
+for argv in (["--json", "verify", "all"], ["--cap", "50", "oracle", "gl2", "3", "3"],
+             ["graph", "pgl2", "7", "4"], ["ppd", "7", "5"]):
+    assert cli.main(argv) == 0, argv
+assert len(matrixgroups.find_binary_octahedral_subgroup(0).elements) == 48
+"""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   stdout=subprocess.DEVNULL)

@@ -21,20 +21,24 @@ def test_field_ctx_moduli():
     assert mg.field_ctx(5, 1).modulus == (0, 1)          # x
     assert mg.field_ctx(2, 3).modulus == (1, 1, 0, 1)    # x^3 + x + 1
     assert mg.field_ctx(2, 2).modulus == (1, 1, 1)       # x^2 + x + 1
+    # no size cap of its own: GF(32) is within the oracle's default cap
+    ctx = mg.field_ctx(2, 5)
+    assert ctx.q == 32 and ctx.modulus == (1, 0, 1, 0, 0, 1)  # x^5 + x^2 + 1
 
 
 def test_field_ctx_rejects_bad_input():
+    before = mg.field_ctx.cache_info().currsize
     for _ in range(2):  # a rejection is not cached: it raises on every call
         with pytest.raises(NotPrime):
             mg.field_ctx(6, 2)
-        with pytest.raises(CapExceeded):
-            mg.field_ctx(2, 5)
-        with pytest.raises(CapExceeded):
-            mg.field_ctx(101, 2)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                mg.field_ctx(7, n)
+    assert mg.field_ctx.cache_info().currsize == before
 
 
 def test_field_size_and_encoding_round_trip():
-    ctx = mg.field_ctx(3, 3, degree_cap=3)
+    ctx = mg.field_ctx(3, 3)
     assert ctx.q == 27
     for x in ctx.elements():
         assert ctx.encode(ctx.decode(x)) == x
@@ -103,12 +107,22 @@ def test_multiplicative_group_order():
 
 def test_field_ctx_is_built_once_per_argument_tuple():
     assert mg.field_ctx(5, 2) is mg.field_ctx(5, 2)
-    assert mg.field_ctx(5, 2, degree_cap=2) is mg.field_ctx(5, 2, degree_cap=2)
     maxsize = mg.field_ctx.cache_info().maxsize
     assert maxsize is not None
-    for degree_cap in range(1, maxsize + 6):
-        mg.field_ctx(2, 1, degree_cap=degree_cap)
+    # the bound holds over distinct fields, GF(p) for the first maxsize + 5 primes
+    primes = [p for p in range(2, 1000) if mg.is_prime(p)]
+    for p in primes[:maxsize + 5]:
+        mg.field_ctx(p, 1)
     assert mg.field_ctx.cache_info().currsize == maxsize
+
+
+def test_oracle_and_search_share_one_field():
+    mg.field_ctx.cache_clear()
+    mg._sl27.cache_clear()
+    mg.omega_bruteforce("PGL2", 7, 1)
+    mg.find_binary_octahedral_subgroup(0)
+    assert mg.field_ctx.cache_info().currsize == 1
+    assert mg._sl27()[0] is mg.field_ctx(7, 1)
 
 
 def test_import_builds_no_field():
@@ -405,7 +419,7 @@ PRIME_POWERS_TO_32 = [(p, n) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 @pytest.mark.parametrize("p,n", PRIME_POWERS_TO_32)
 def test_scaling_orbits_match_every_characteristic_polynomial(p, n):
-    ctx = mg.field_ctx(p, n, degree_cap=5)
+    ctx = mg.field_ctx(p, n)
     for family in mg.FAMILIES:
         # every element order, not only the maximal ones: an orbit lost to a
         # bad representative can hide below a maximal order

@@ -214,9 +214,18 @@ HARD_P1 = 999999999999989
 HARD_P2 = 999998999999977
 
 
-def test_factor_budget_exhaustion_is_reported():
+@pytest.fixture
+def limits():
+    """nt.configure, with the seed and budget it found put back afterwards."""
+    previous = nt.configure()
+    yield nt.configure
+    nt.configure(**previous)
+
+
+def test_factor_budget_exhaustion_is_reported(limits):
     assert nt.is_prime(HARD_P1) and nt.is_prime(HARD_P2)
-    f = nt.factor(HARD_P1 * HARD_P2, budget=500)
+    limits(budget=500)
+    f = nt.factor(HARD_P1 * HARD_P2)
     assert not f.complete
     assert f.cofactor == HARD_P1 * HARD_P2
     assert f.product() == HARD_P1 * HARD_P2
@@ -231,27 +240,27 @@ def test_factor_hard_semiprime_succeeds_with_real_budget():
     assert nt.factor(p * q).as_dict() == {p: 1, q: 1}
 
 
-def test_factor_deterministic_for_fixed_seed(monkeypatch):
+def test_factor_deterministic_for_fixed_seed(monkeypatch, limits):
     # the cache is emptied in between, so the two results are two computations
     cache: dict = {}
     monkeypatch.setattr(nt, "_FACTOR_CACHE", cache)
     n = HARD_P1 * HARD_P2
-    a = nt.factor(n, budget=2 * 10**7, seed=3)
+    limits(seed=3, budget=2 * 10**7)
+    a = nt.factor(n)
     cache.clear()
-    b = nt.factor(n, budget=2 * 10**7, seed=3)
+    b = nt.factor(n)
     assert a == b and a is not b
 
 
-def test_negative_budget_is_rejected():
+def test_negative_budget_is_rejected(limits):
     before = nt.configure()
-    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
-        nt.factor(91, budget=-1)
     with pytest.raises(ValueError, match="budget must be >= 0, got -5"):
         nt.configure(seed=9, budget=-5)
     # the rejected call changed nothing, and budget 0 is trial division only
     assert nt.configure() == before
-    assert nt.factor(91, budget=0).as_dict() == {7: 1, 13: 1}
-    assert not nt.factor(HARD_P1 * HARD_P2, budget=0).complete
+    limits(budget=0)
+    assert nt.factor(91).as_dict() == {7: 1, 13: 1}
+    assert not nt.factor(HARD_P1 * HARD_P2).complete
 
 
 def test_configure_returns_the_limits_it_replaced():
@@ -290,17 +299,20 @@ def test_factor_pieces_incomplete_multiplies_stuck_cofactors():
         f.require_complete()
 
 
-def test_factor_caches_every_outcome_under_what_decides_it(monkeypatch):
+def test_factor_caches_every_outcome_under_what_decides_it(monkeypatch, limits):
     cache: dict = {}
     monkeypatch.setattr(nt, "_FACTOR_CACHE", cache)
     f = nt.factor(2**64 + 1)
     assert f.complete and nt.factor(2**64 + 1) is f
     # an incomplete result is kept too, and answers only the same limits
     hard = HARD_P1 * HARD_P2
-    stuck = nt.factor(hard, budget=200)
+    previous = limits(budget=200)
+    stuck = nt.factor(hard)
     assert not stuck.complete
-    assert nt.factor(hard, budget=200) is stuck
-    assert nt.factor(hard, budget=200, seed=1) is not stuck
+    assert nt.factor(hard) is stuck
+    limits(seed=1)
+    assert nt.factor(hard) is not stuck
+    limits(**previous)
     # the modulus of a _Congruent is part of the key
     piece = nt._cyclotomic_pieces(7, 5)[5]  # Phi_5(7) = 2801, a prime
     tagged, plain = nt.factor(piece), nt.factor(2801)
@@ -312,12 +324,14 @@ def test_factor_caches_every_outcome_under_what_decides_it(monkeypatch):
     assert {key[0] for key in set(cache) - keys} == {3, 8, 100}
 
 
-def test_cache_answers_only_the_budget_that_filled_it(monkeypatch):
+def test_cache_answers_only_the_budget_that_filled_it(monkeypatch, limits):
     monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
     n = 12865927 * 9468940004449
     f = nt.factor(n)
     assert f.complete
-    assert not nt.factor(n, budget=1).complete
+    previous = limits(budget=1)
+    assert not nt.factor(n).complete
+    limits(**previous)
     assert nt.factor(n) is f
 
 
@@ -516,7 +530,7 @@ def test_ppd_matches_set_difference_reference_grid():
             assert (rep.exception != nt.EXCEPTION_NONE) == (n > 1 and not primes), (a, n)
 
 
-def test_budget_charges_the_multiplications_of_each_step(monkeypatch):
+def test_budget_charges_the_multiplications_of_each_step(monkeypatch, limits):
     # the stripped Phi_23(37) is 47 * 1845029930335901 * 375176717285846681,
     # so rho on x -> x^46 + c runs out of budget; each step costs the 7
     # multiplications of pow(x, 46, n), so it takes about budget / 7 steps
@@ -529,18 +543,20 @@ def test_budget_charges_the_multiplications_of_each_step(monkeypatch):
 
     monkeypatch.setattr(nt, "pow", counting_pow, raising=False)
     budget = 20000
-    rep = nt.primitive_prime_divisors(37, 23, budget=budget)
+    limits(budget=budget)
+    rep = nt.primitive_prime_divisors(37, 23)
     assert not rep.complete
     assert calls <= 2 * budget // 7 + 256
 
 
-def test_ppd_completes_where_lower_a_i_minus_1_are_hard():
+def test_ppd_completes_where_lower_a_i_minus_1_are_hard(limits):
     # Phi_60(7) and Phi_40(13) split at once, although some 7^i - 1 with
     # i < 60 and 13^i - 1 with i < 40 do not split within these budgets
-    for opts in ({"budget": 100000}, {}):
-        rep = nt.primitive_prime_divisors(7, 60, **opts)
+    for budget in (100000, nt.DEFAULT_RHO_BUDGET):
+        limits(budget=budget)
+        rep = nt.primitive_prime_divisors(7, 60)
         assert rep.complete and rep.primitive_primes == {61, 555915824341}
-        rep = nt.primitive_prime_divisors(13, 40, **opts)
+        rep = nt.primitive_prime_divisors(13, 40)
         assert rep.complete
         assert rep.primitive_primes == {41, 29881, 543124566401}
 

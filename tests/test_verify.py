@@ -1,6 +1,7 @@
 import pytest
 
 from pglspectra import numtheory as nt
+from pglspectra import spectra as sp
 from pglspectra import verify as vf
 from pglspectra.errors import NotCppPrime, NotPrime
 
@@ -70,6 +71,16 @@ def test_check_pgl2_component_structure():
         vf.check_pgl2_component_structure(2, 3)
     with pytest.raises(ValueError):
         vf.check_pgl2_component_structure(3, 1)
+
+
+def test_pgl2_component_structure_checks_mu_of_the_second_component(monkeypatch):
+    # components [[2, 3], [7]] as for PGL(2, 7), but mu_2 = {49}, not {7}
+    monkeypatch.setattr(vf, "mu_pgl2", lambda p, n: sp.Spectrum(frozenset({6, 8, 49})))
+    report = vf.check_pgl2_component_structure(7, 1)
+    assert not report.ok
+    item, = report.items
+    assert item.name == "t=2, pi1=pi(7^2-1), pi2={7}"
+    assert item.detail == "components: [[2, 3], [7]]"
 
 
 def test_verify_all_aggregates():
