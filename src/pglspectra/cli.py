@@ -79,13 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable document")
-    parser.add_argument("--seed", type=int, default=numtheory.DEFAULT_SEED,
-                        help="seed for the Pollard rho restarts "
-                             "(default %(default)s)")
     parser.add_argument("--budget", type=int, default=numtheory.DEFAULT_RHO_BUDGET,
                         help="Pollard rho budget per cofactor, in "
-                             "multiplications mod the cofactor "
-                             "(default %(default)s)")
+                             "multiplications mod the cofactor; it decides "
+                             "what completes (default %(default)s)")
     parser.add_argument("--cap", type=int,
                         help="size cap: n for sym/alt, m*n for metacyclic, "
                              "q for oracle; other choices reject it")
@@ -401,7 +398,7 @@ def render_document(command: str, inputs: dict, result, diagnostics) -> str:
 def _inputs_of(args) -> dict:
     # a verify option not given shows the default its checkers apply
     defaults = {"nmax": verify.DEFAULT_N_MAX, "bound": verify.DEFAULT_VALUE_BOUND}
-    skip = {"command", "json", "seed", "budget", "cap", "handler"}
+    skip = {"command", "json", "budget", "cap", "handler"}
     return {k: defaults[k] if v is None else v
             for k, v in vars(args).items() if k not in skip}
 
@@ -415,7 +412,7 @@ def main(argv=None) -> int:
     diagnostics: list[str] = []
     previous = numtheory.configure()
     try:
-        numtheory.configure(seed=args.seed, budget=args.budget)
+        numtheory.configure(budget=args.budget)
         if args.cap is not None and args.cap < 1:
             raise ValueError(f"--cap must be >= 1, got {args.cap}")
         result, lines, code = args.handler(args, diagnostics)
@@ -428,7 +425,7 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE if resource else EXIT_USAGE
-    finally:  # the library's seed and budget are left as this call found them
+    finally:  # the library's budget is left as this call found it
         numtheory.configure(**previous)
     if args.json:
         sys.stdout.write(render_document(

@@ -42,32 +42,28 @@ from dataclasses import dataclass, field
 
 from .errors import FactorizationIncomplete, NotCoprime
 
-# Factoring defaults.  configure() alone sets the rho budget and seed that
-# factor() uses; cli.main sets them for one invocation.
-DEFAULT_TRIAL_BOUND = 10**5
+# The trial bound is fixed; configure() alone sets the rho budget that
+# factor() uses, and cli.main sets it for one invocation.
+TRIAL_BOUND = 10**5
 DEFAULT_RHO_BUDGET = 10**7
-DEFAULT_SEED = 0
 
 _rho_budget = DEFAULT_RHO_BUDGET
-_seed = DEFAULT_SEED
 
 
-def configure(*, seed: int | None = None, budget: int | None = None) -> dict[str, int]:
-    """Set the process-wide rho seed and budget; None keeps the current one.
+def configure(*, budget: int | None = None) -> dict[str, int]:
+    """Set the process-wide rho budget; None keeps the current one.
 
-    The only setter of the limits factor() reads at each call; they stay
+    The only setter of the limit factor() reads at each call; it stays
     until the next call.  A budget below 0 is rejected and changes nothing;
-    0 is trial division only.  Returns the values it replaced, so that
-    configure(**previous) puts them back.
+    0 is trial division only.  Returns the value it replaced, so that
+    configure(**previous) puts it back.
     """
-    global _seed, _rho_budget
-    previous = {"seed": _seed, "budget": _rho_budget}
+    global _rho_budget
+    previous = {"budget": _rho_budget}
     if budget is not None:
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
         _rho_budget = budget
-    if seed is not None:
-        _seed = seed
     return previous
 
 
@@ -325,10 +321,10 @@ def _as_perfect_power(n: int) -> tuple[int, int] | None:
 
 
 # Every result of factor(), complete or not, keyed by all that decides it:
-# (n, modulus, budget, seed), modulus that of a _Congruent n or 1.  The trial
-# bound and Miller-Rabin bases are constants and rho is seeded by seed and
-# cofactor, so an earlier call changes how fast a later one answers, not what.
-_FACTOR_CACHE: dict[tuple[int, int, int, int], Factorization] = {}
+# (n, modulus, budget), modulus that of a _Congruent n or 1.  The trial bound
+# and Miller-Rabin bases are constants and rho is seeded by the cofactor
+# alone, so an earlier call changes how fast a later one answers, not what.
+_FACTOR_CACHE: dict[tuple[int, int, int], Factorization] = {}
 
 
 def _factorization(n: int, counts: Counter[int], probable: set[int],
@@ -339,7 +335,7 @@ def _factorization(n: int, counts: Counter[int], probable: set[int],
 
 
 def factor(n: int) -> Factorization:
-    """Factor n >= 1: trial division below DEFAULT_TRIAL_BOUND, then Brent/Pollard rho.
+    """Factor n >= 1: trial division below TRIAL_BOUND, then Brent/Pollard rho.
 
     Never raises on hard input: if the per-cofactor budget runs out, the
     partial result is returned with complete=False and the unfactored
@@ -347,7 +343,7 @@ def factor(n: int) -> Factorization:
     one per step of x -> x^2 + c, and as many per step of x -> x^e + c as
     pow(x, e, n) takes, so it bounds the time spent whatever e is.
 
-    The trial bound is the constant DEFAULT_TRIAL_BOUND.  When n is a
+    The trial bound is the constant TRIAL_BOUND.  When n is a
     _Congruent with modulus k (see the module docstring), the primes of k
     below the bound are divided out first; every other prime below the
     bound that can divide n is 1 (mod e), e = lcm(2, k).  Trial division
@@ -355,18 +351,20 @@ def factor(n: int) -> Factorization:
     it, when those are fewer), so every prime below the bound that divides
     n is still divided out, and a cofactor below its square is still prime.
     Rho iterates x -> x^e + c.  Without a congruence e = 2: all primes
-    below the bound and x -> x^2 + c.  The budget and seed are configure()'s.
+    below the bound and x -> x^2 + c.  The budget is configure()'s, and it
+    alone decides what completes: each cofactor's rho walk is seeded by the
+    cofactor, so the same (n, modulus, budget) always gives the same result.
     """
     if n < 1:
         raise ValueError("factor requires n >= 1")
     k = n.modulus if type(n) is _Congruent else 1
     n = int(n)
-    budget, seed = _rho_budget, _seed
-    key = (n, k, budget, seed)
+    budget = _rho_budget
+    key = (n, k, budget)
     cached = _FACTOR_CACHE.get(key)
     if cached is not None:
         return cached
-    bound = DEFAULT_TRIAL_BOUND
+    bound = TRIAL_BOUND
 
     counts: Counter[int] = Counter()
     probable: set[int] = set()
@@ -403,7 +401,8 @@ def factor(n: int) -> Factorization:
         if power is not None:
             settle(power[0], mult * power[1])
             return
-        rng = random.Random(f"{seed}:{c}")
+        # another string is another walk: it changes what a small budget factors
+        rng = random.Random(f"0:{c}")
         left = budget
         while left > 0:
             d, used = _pollard_rho_brent(c, rng, left, e)
@@ -570,8 +569,8 @@ class PpdReport:
     probable: tuple[int, ...] = field(default=(), compare=False)
 
 
-def _stripped_cyclotomic(a: int, n: int) -> tuple[int, tuple[int, ...]]:
-    """(Phi_n(a) with every prime of n divided out to full multiplicity, those primes).
+def _stripped_cyclotomic(a: int, n: int) -> int:
+    """Phi_n(a) with every prime of n divided out to full multiplicity.
 
     The primes of the stripped value are exactly the primitive prime
     divisors of a^n - 1.  A prime s of Phi_n(a) with d = ord_s(a) < n has
@@ -581,11 +580,10 @@ def _stripped_cyclotomic(a: int, n: int) -> tuple[int, tuple[int, ...]]:
     never stripped.  For n = 1 nothing is stripped and Phi_1(a) = a - 1.
     """
     value = cyclotomic_value(n, a)
-    n_primes = factor(n).require_complete().primes()
-    for r in n_primes:
+    for r in factor(n).require_complete().primes():
         while value % r == 0:
             value //= r
-    return value, n_primes
+    return value
 
 
 def primitive_prime_divisors(a: int, n: int) -> PpdReport:
@@ -595,11 +593,11 @@ def primitive_prime_divisors(a: int, n: int) -> PpdReport:
     _stripped_cyclotomic for why that is exact); its primes, completeness
     and probable primes are the report's.  For n = 1 the primitivity
     condition is vacuous and the result is just the prime set of a - 1.
-    The factoring budget and seed are configure()'s.
+    The factoring budget is configure()'s.
     """
     if a < 2 or n < 1:
         raise ValueError("need a >= 2 and n >= 1")
-    value, _ = _stripped_cyclotomic(a, n)
+    value = _stripped_cyclotomic(a, n)
     f = factor(_Congruent(value, n))
     return PpdReport(
         a=a, n=n, primitive_primes=frozenset(f.primes()),
@@ -626,7 +624,7 @@ def ppd_exists_above(a: int, n: int, q: int) -> PpdReport:
     """
     if a < 2 or n < 2 or q < 2:
         raise ValueError("need a >= 2, n >= 2, q >= 2")
-    value, _ = _stripped_cyclotomic(a, n)
+    value = _stripped_cyclotomic(a, n)
     found: Counter[int] = Counter()
     value = _divide_out(value, _candidates(n, q + 1), found)
     if 1 < value <= q:  # a prime: only after the divisors passed its root

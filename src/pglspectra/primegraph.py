@@ -30,8 +30,8 @@ class PrimeGraph:
 
 @dataclass(frozen=True)
 class ComponentPartition:
-    """Connected components, ordered: the one containing 2 first (when 2 is
-    a vertex), the rest by smallest member ascending."""
+    """Connected components, by smallest member ascending: the one
+    containing 2 comes first when 2 is a vertex."""
 
     components: tuple[frozenset[int], ...]
 
@@ -68,7 +68,7 @@ def components(g: PrimeGraph) -> ComponentPartition:
         merged = comp_of[r] | comp_of[s]
         for v in merged:
             comp_of[v] = merged
-    comps = sorted(set(comp_of.values()), key=lambda c: (2 not in c, min(c)))
+    comps = sorted(set(comp_of.values()), key=min)
     return ComponentPartition(tuple(comps))
 
 

@@ -337,29 +337,29 @@ def test_budget_does_not_leak_into_next_call(capsys):
         assert code == 0
         assert "200000033*500000003" in out
     finally:
-        nt.configure(seed=nt.DEFAULT_SEED, budget=nt.DEFAULT_RHO_BUDGET)
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
 
 
 def test_main_leaves_the_limits_it_set_behind_it(capsys):
     # budget 1 ends with the main() call that was given it
     try:
-        assert run(capsys, "--budget", "1", "--seed", "9", "ppd", "2", "1")[0] == 0
+        assert run(capsys, "--budget", "1", "ppd", "2", "1")[0] == 0
         assert nt.factor(200000033 * 500000003).complete
-        assert nt.configure() == {"seed": nt.DEFAULT_SEED, "budget": nt.DEFAULT_RHO_BUDGET}
+        assert nt.configure() == {"budget": nt.DEFAULT_RHO_BUDGET}
     finally:
-        nt.configure(seed=nt.DEFAULT_SEED, budget=nt.DEFAULT_RHO_BUDGET)
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
 
 
 def test_main_leaves_limits_set_by_configure_in_place(capsys):
     # a main() call with its own defaults does not reset what configure set
-    nt.configure(seed=7, budget=5)
+    nt.configure(budget=5)
     try:
         assert run(capsys, "factor", "91")[0] == 0
         assert not nt.factor(200000033 * 500000003).complete
         assert run(capsys, "--budget", "-1", "factor", "91")[0] == 2
-        assert nt.configure() == {"seed": 7, "budget": 5}
+        assert nt.configure() == {"budget": 5}
     finally:
-        nt.configure(seed=nt.DEFAULT_SEED, budget=nt.DEFAULT_RHO_BUDGET)
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
 
 
 # Each command line alone, and in one process after others that factor the
@@ -371,7 +371,7 @@ HISTORY_BATTERY = (
     # the stripped Phi_42(19) factors by its congruence, not as a plain int
     ("--json", "--budget", "2000", "ppd", "19", "42"),
     ("--json", "--budget", "2000", "factor", "332780793373183"),
-    ("--seed", "5", "--budget", "2000", "factor", "332780793373183"),
+    ("--budget", "4000", "factor", "332780793373183"),
     # a stuck piece Phi_37(3), met again by other routes
     ("--json", "--budget", "200", "graph", "pgl2", "3", "37"),
     ("--budget", "200", "graph", "psl2", "3", "37"),
@@ -390,6 +390,11 @@ def test_no_outcome_depends_on_the_calls_before_it(capsys, monkeypatch):
         monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
         alone[argv] = run(capsys, *argv)[:2]
     assert alone[HISTORY_BATTERY[1]][0] == 3  # 97^24 + 1 whole at budget 20000
+    # 332780793373183 = 43^2 * 343393 * 524119: the rho walk splits the
+    # cofactor within budget 4000, not 2000
+    code, doc = alone[HISTORY_BATTERY[3]]
+    assert code == 3 and json.loads(doc)["result"]["cofactor"] == 179978795767
+    assert alone[HISTORY_BATTERY[4]] == (0, "332780793373183 = 43^2*343393*524119\n")
     for order in (HISTORY_BATTERY, HISTORY_BATTERY[::-1]):
         monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
         for argv in order:
@@ -580,9 +585,15 @@ def test_json_and_text_verdicts_agree(capsys):
 
 
 def test_json_deterministic_across_runs(capsys):
-    _, _, raw1 = run_json(capsys, "--seed", "1", "factor", "2402")
-    _, _, raw2 = run_json(capsys, "--seed", "1", "factor", "2402")
+    _, _, raw1 = run_json(capsys, "factor", "2402")
+    _, _, raw2 = run_json(capsys, "factor", "2402")
     assert raw1 == raw2
+
+
+def test_seed_option_is_rejected(capsys):
+    # the budget is the one factoring option; a removed one is not ignored
+    code, out, err = run(capsys, "--seed", "1", "ppd", "7", "5")
+    assert code == 2 and out == "" and "usage: pglspectra" in err
 
 
 def test_json_domain_error_document(capsys):

@@ -81,7 +81,8 @@ def is_primitive_prime_divisor(a: int, n: int, s: int) -> bool:
 def ppd_above_by_sieve(a: int, n: int, q: int) -> tuple[nt.PpdReport, bool]:
     """ppd_exists_above by trial division with every prime <= q from a sieve,
     and whether the residual was ever itself a prime <= q."""
-    value, n_primes = nt._stripped_cyclotomic(a, n)
+    value = nt._stripped_cyclotomic(a, n)
+    n_primes = nt.factor(n).primes()
     found: set[int] = set()
     edge = False
     for r in nt.primes_below(q + 1):
@@ -216,7 +217,7 @@ HARD_P2 = 999998999999977
 
 @pytest.fixture
 def limits():
-    """nt.configure, with the seed and budget it found put back afterwards."""
+    """nt.configure, with the budget it found put back afterwards."""
     previous = nt.configure()
     yield nt.configure
     nt.configure(**previous)
@@ -245,7 +246,7 @@ def test_factor_deterministic_for_fixed_seed(monkeypatch, limits):
     cache: dict = {}
     monkeypatch.setattr(nt, "_FACTOR_CACHE", cache)
     n = HARD_P1 * HARD_P2
-    limits(seed=3, budget=2 * 10**7)
+    limits(budget=2 * 10**7)
     a = nt.factor(n)
     cache.clear()
     b = nt.factor(n)
@@ -255,7 +256,7 @@ def test_factor_deterministic_for_fixed_seed(monkeypatch, limits):
 def test_negative_budget_is_rejected(limits):
     before = nt.configure()
     with pytest.raises(ValueError, match="budget must be >= 0, got -5"):
-        nt.configure(seed=9, budget=-5)
+        nt.configure(budget=-5)
     # the rejected call changed nothing, and budget 0 is trial division only
     assert nt.configure() == before
     limits(budget=0)
@@ -264,13 +265,21 @@ def test_negative_budget_is_rejected(limits):
 
 
 def test_configure_returns_the_limits_it_replaced():
-    previous = nt.configure(seed=4, budget=300)
+    previous = nt.configure(budget=300)
     try:
-        assert previous == {"seed": nt.DEFAULT_SEED, "budget": nt.DEFAULT_RHO_BUDGET}
-        assert nt.configure(**previous) == {"seed": 4, "budget": 300}
+        assert previous == {"budget": nt.DEFAULT_RHO_BUDGET}
+        assert nt.configure(**previous) == {"budget": 300}
         assert nt.configure() == previous
     finally:
-        nt.configure(seed=nt.DEFAULT_SEED, budget=nt.DEFAULT_RHO_BUDGET)
+        nt.configure(budget=nt.DEFAULT_RHO_BUDGET)
+
+
+def test_configure_takes_only_the_budget(limits):
+    # the rho walk is not a setting: a seed is rejected and changes nothing
+    before = nt.configure()
+    with pytest.raises(TypeError):
+        nt.configure(seed=1)
+    assert nt.configure() == before
 
 
 # --- divisors / mobius --------------------------------------------------------
@@ -310,8 +319,6 @@ def test_factor_caches_every_outcome_under_what_decides_it(monkeypatch, limits):
     stuck = nt.factor(hard)
     assert not stuck.complete
     assert nt.factor(hard) is stuck
-    limits(seed=1)
-    assert nt.factor(hard) is not stuck
     limits(**previous)
     # the modulus of a _Congruent is part of the key
     piece = nt._cyclotomic_pieces(7, 5)[5]  # Phi_5(7) = 2801, a prime

@@ -263,7 +263,7 @@ def test_congruence_path_matches_plain_factor(monkeypatch):
     cache: dict = {}
     monkeypatch.setattr(nt, "_FACTOR_CACHE", cache)
     congruent = [v for _, v in _recorded_pieces()]
-    congruent += [nt._Congruent(nt._stripped_cyclotomic(a, n)[0], n)
+    congruent += [nt._Congruent(nt._stripped_cyclotomic(a, n), n)
                   for a in PAPER_BASES for n in range(1, 17)]
     for v in congruent:
         cache.clear()
