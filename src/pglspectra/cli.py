@@ -17,15 +17,15 @@ line is formatted.  The document is byte for byte the json module's
 rendering with indent=2 and sort_keys=True (render_document).  Every
 argument that parses but is rejected raises ValueError, from the library
 or, where only the CLI can tell (a --cap below 1, the number of params, an
-empty ppd --upto range, an option the command line does not read), from
-main or the handler: it is a domain error, exit 2.  A domain error or a cap
-or budget error (exit 3) goes to stderr, or with --json gives a document
-whose result is null.
+option the command line does not read), from main or the handler: it is a
+domain error, exit 2.  A domain error or a cap or budget error (exit 3)
+goes to stderr, or with --json gives a document whose result is null.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -68,15 +68,12 @@ _VERIFY_TARGETS = {  # checkers on verify
 _LIMITS = {"cap": "cap", "nmax": "n_max", "bound": "value_bound"}
 
 
-# Built on the first main() call and reused: parse_args leaves the parser
+# Built on the first main() call and reused: parse_args leaves a parser
 # unchanged, so a call sees nothing of an earlier one.
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pglspectra",
-        description="Element-order spectra, prime graphs and primitive prime "
-                    "divisors for PGL/PSL(2,q) at desk scale.",
-    )
+def _global_options() -> argparse.ArgumentParser:
+    """The options before the command, alone: build_parser's parent."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable document")
     parser.add_argument("--budget", type=int, default=numtheory.DEFAULT_RHO_BUDGET,
@@ -86,6 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cap", type=int,
                         help="size cap: n for sym/alt, m*n for metacyclic, "
                              "q for oracle; other choices reject it")
+    return parser
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pglspectra",
+        description="Element-order spectra, prime graphs and primitive prime "
+                    "divisors for PGL/PSL(2,q) at desk scale.",
+        parents=[_global_options()], exit_on_error=False,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ppd", help="primitive prime divisors of a^n - 1")
@@ -195,9 +203,7 @@ def _call(module, entry, what: str, params: list[int], args):
 
 def _cmd_ppd(args, diagnostics):
     _read(args, "ppd")
-    if args.upto and args.n < 1:  # an empty --upto range reaches no library check
-        raise ValueError("need a >= 2 and n >= 1")
-    ns = range(1, args.n + 1) if args.upto else [args.n]
+    ns = [*range(1, args.n), args.n] if args.upto else [args.n]  # the library checks n
     reports = [numtheory.primitive_prime_divisors(args.a, i) for i in ns]
     for rep in reports:
         _note_probable(rep.probable, diagnostics)
@@ -406,7 +412,18 @@ def _inputs_of(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except argparse.ArgumentError as exc:
+            # argparse takes the value of an option it does not know for the
+            # command (`--seed 1 ppd 7 5` is an invalid choice '1'), so name
+            # the first token the global options leave if it is an option
+            message = str(exc)
+            with contextlib.suppress(argparse.ArgumentError):
+                rest = _global_options().parse_known_args(argv)[1]
+                if exc.argument_name == "command" and rest[0].startswith("-"):
+                    message = f"unrecognized arguments: {rest[0]}"
+            parser.error(message)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     diagnostics: list[str] = []

@@ -93,8 +93,8 @@ class FieldCtx:
         exp, self._log, self._zech = self.tables()
         # g^k for 0 <= k < 2(q-1): a sum of two logs indexes it unreduced
         self._exp = exp + exp
-        # -1 = g^((q-1)/2), or 1 in characteristic 2
-        self._log_minus_one = 0 if p == 2 else (self.q - 1) // 2
+        # -1 is encoded as p - 1
+        self._log_minus_one = self._log[p - 1]
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.n}), modulus={list(self.modulus)})"
@@ -224,23 +224,16 @@ def _companion_power(t: int, d: int, ctx: FieldCtx) -> tuple[int, int]:
     return k, ctx.mul(minus_d, prev)
 
 
-def _sl2_trace_orders(ctx: FieldCtx) -> list[int]:
-    """orders[t]: the order of every non-scalar element of SL(2, q) with trace t.
-
-    Such an element is conjugate to C(t, 1), and C^k = lam * I first gives
-    it order k * ord(lam), with ord(lam) = (q-1)/gcd(q-1, log lam).
-    """
-    q, log = ctx.q, ctx._log
-    powers = (_companion_power(t, 1, ctx) for t in range(q))
-    return [k * ((q - 1) // gcd(q - 1, log[lam])) for k, lam in powers]
-
-
 def _sl2_orders(ctx: FieldCtx):
     """order(g) for g in SL(2, q), read from one table of q traces.
 
-    +-I have orders 1 and 2; every other element has the order of C(tr g, 1).
+    +-I have orders 1 and 2.  Every other element with trace t is conjugate
+    to C(t, 1), and C^k = lam * I first gives it order k * ord(lam), with
+    ord(lam) = (q-1)/gcd(q-1, log lam).
     """
-    trace_orders = _sl2_trace_orders(ctx)
+    q, log = ctx.q, ctx._log
+    powers = (_companion_power(t, 1, ctx) for t in range(q))
+    trace_orders = [k * ((q - 1) // gcd(q - 1, log[lam])) for k, lam in powers]
 
     def order(g) -> int:
         a, b, c, d = g
@@ -266,13 +259,12 @@ def _class_orders(family: str, ctx: FieldCtx) -> set[int]:
         if q % 2:
             reps.append((0, ctx._exp[1]))
     orders = {(q - 1) // gcd(q - 1, log[a]) for a in scalars}
-    if family == "SL2":
-        return orders | set(_sl2_trace_orders(ctx))
     powers = {_companion_power(t, d, ctx) for t, d in reps}
     if family in ("PGL2", "PSL2"):
         return {1} | {k for k, _ in powers}
+    steps = range(q - 1) if family == "GL2" else (0,)  # c = g^j; SL2 takes c = 1
     for k, lam in powers:
-        orders.update(k * ((q - 1) // gcd(q - 1, j * k + log[lam])) for j in range(q - 1))
+        orders.update(k * ((q - 1) // gcd(q - 1, j * k + log[lam])) for j in steps)
     return orders
 
 

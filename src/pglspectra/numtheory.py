@@ -443,30 +443,20 @@ def divisors(n: int) -> list[int]:
     return factor(n).divisors()
 
 
-def _carmichael(modulus: int) -> int:
-    lam = 1
-    for p, e in factor(modulus).require_complete().factors:
-        if p == 2:
-            part = 2 ** max(e - 2, 0) if e > 1 else 1
-        else:
-            part = p ** (e - 1) * (p - 1)
-        lam = lam * part // math.gcd(lam, part)
-    return lam
-
-
 def multiplicative_order(a: int, modulus: int) -> int:
     """Least k >= 1 with a^k = 1 (mod modulus); requires gcd(a, modulus) = 1.
 
     The order is found by reducing a known exponent multiple (modulus-1 for
-    prime moduli, the Carmichael function otherwise) along its prime
-    factorization, never by naive stepping.
+    prime moduli, Euler's phi otherwise) along its prime factorization,
+    never by naive stepping.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise NotCoprime(f"{a} and {modulus} share a factor")
-    e = modulus - 1 if is_prime(modulus) else _carmichael(modulus)
+    e = modulus - 1 if is_prime(modulus) else math.prod(
+        p ** (k - 1) * (p - 1) for p, k in factor(modulus).require_complete().factors)
     for p in factor(e).require_complete().primes():
         while e % p == 0 and pow(a, e // p, modulus) == 1:
             e //= p
@@ -678,8 +668,6 @@ def _prime_power(u: int) -> tuple[int, int] | None:
     """(q, n) with q prime and q^n == u, or None."""
     if u < 2:
         return None
-    if u % 2 == 0:
-        return (2, u.bit_length() - 1) if u & (u - 1) == 0 else None
     base, exp = _as_perfect_power(u) or (u, 1)
     return (base, exp) if is_prime(base) else None
 

@@ -273,7 +273,7 @@ class Report:
 
 
 def _fmt(pairs) -> str:
-    return str(Factorization(0, tuple(pairs))) if pairs else "1"
+    return str(Factorization(0, tuple(pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -594,6 +594,19 @@ def test_seed_option_is_rejected(capsys):
     # the budget is the one factoring option; a removed one is not ignored
     code, out, err = run(capsys, "--seed", "1", "ppd", "7", "5")
     assert code == 2 and out == "" and "usage: pglspectra" in err
+    # argparse alone would reject its value 1 as the command instead
+    assert "unrecognized arguments: --seed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ppd", "1", "0"),
+    ("ppd", "1", "0", "--upto"),
+    ("ppd", "7", "0", "--upto"),
+    ("ppd", "1", "3", "--upto"),
+])
+def test_ppd_range_is_checked_by_the_library(capsys, argv):
+    # --upto asks for n itself too, so the library rejects an n below 1
+    assert run(capsys, *argv) == (2, "", "error: need a >= 2 and n >= 1\n")
 
 
 def test_json_domain_error_document(capsys):

@@ -405,6 +405,7 @@ def test_multiplicative_order_examples():
     assert nt.multiplicative_order(7, 2801) == 5
     assert nt.multiplicative_order(1, 97) == 1
     assert nt.multiplicative_order(13, 30941) == 5
+    assert nt.multiplicative_order(3, 4) == 2  # lambda(4) = 2
 
 
 def test_multiplicative_order_not_coprime():
@@ -413,6 +414,10 @@ def test_multiplicative_order_not_coprime():
 
 
 def test_multiplicative_order_against_stepping():
+    for m in range(2, 300):  # every coprime pair, then seeded larger moduli
+        for a in range(1, m):
+            if math.gcd(a, m) == 1:
+                assert nt.multiplicative_order(a, m) == naive_order(a, m), (a, m)
     rng = random.Random(23)
     for _ in range(200):
         m = rng.randrange(2, 4000)
