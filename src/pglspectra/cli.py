@@ -409,20 +409,33 @@ def _inputs_of(args) -> dict:
             for k, v in vars(args).items() if k not in skip}
 
 
+def _unknown_option(argv) -> str | None:
+    """The first token the global options leave, if it is an option.
+
+    argparse takes the value of an option it does not know for the command
+    (`--seed 1 ppd 7 5` is an invalid choice '1'), so main names this token
+    instead.  It is sought on ever longer prefixes of argv, so that a bad
+    value further on (`--seed 1 oracle gl2 2 2 --cap x`) cannot hide it.
+    """
+    for stop in range(1, len(argv) + 1):
+        with contextlib.suppress(argparse.ArgumentError):
+            rest = _global_options().parse_known_args(argv[:stop])[1]
+            if rest:
+                return rest[0] if rest[0].startswith("-") else None
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         try:
             args = parser.parse_args(argv)
         except argparse.ArgumentError as exc:
-            # argparse takes the value of an option it does not know for the
-            # command (`--seed 1 ppd 7 5` is an invalid choice '1'), so name
-            # the first token the global options leave if it is an option
             message = str(exc)
-            with contextlib.suppress(argparse.ArgumentError):
-                rest = _global_options().parse_known_args(argv)[1]
-                if exc.argument_name == "command" and rest[0].startswith("-"):
-                    message = f"unrecognized arguments: {rest[0]}"
+            if exc.argument_name == "command":
+                unknown = _unknown_option(sys.argv[1:] if argv is None else argv)
+                if unknown is not None:
+                    message = f"unrecognized arguments: {unknown}"
             parser.error(message)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -25,11 +25,11 @@ builds, next to the proof: the pieces of _cyclotomic_pieces and
 q_pm_1_pieces, and the stripped Phi_n(a) of primitive_prime_divisors.
 With e = lcm(2, k) every prime not dividing k is odd and 1 (mod e), so
 after the primes of k are divided out, trial division needs only the
-r = 1 (mod e), and rho iterates x -> x^e + c (Brent & Pollard, Math.
-Comp. 36, 1981): x -> x^e is e-to-1 on the units mod such a prime, so the
-walk lives on about s/e values and its expected length falls by about
-sqrt(e).  Each step costs the roughly log2(e) multiplications of
-pow(x, e, n), and the rho budget charges them.
+primes r = 1 (mod e), read from one sieve, and rho iterates x -> x^e + c
+(Brent & Pollard, Math. Comp. 36, 1981): x -> x^e is e-to-1 on the units
+mod such a prime, so the walk lives on about s/e values and its expected
+length falls by about sqrt(e).  Each step costs the roughly log2(e)
+multiplications of pow(x, e, n), and the rho budget charges them.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import FactorizationIncomplete, NotCoprime
 
@@ -70,15 +71,13 @@ def configure(*, budget: int | None = None) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # primality
 
-# Miller-Rabin witnesses: the first 40 primes, fixed so that results stay
-# reproducible run to run.  All 40 are used above the deterministic limit;
-# below it the first 12 are exact (for n < 318_665_857_834_031_151_167_461,
-# which exceeds 2^64), and they also screen n by trial division.
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-          53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107,
-          109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173)
+# The first 12 primes: primality() screens n by trial division with them.
+# As Miller-Rabin bases they are exact for n below
+# 318_665_857_834_031_151_167_461, which exceeds 2^64.  BPSW has no
+# pseudoprime below 2^64 (Feitsma & Galway), so primality() is exact below
+# the limit and probabilistic from it on.
+_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
-_DETERMINISTIC_BASES = _BASES[:12]
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,8 @@ class Primality:
 def _miller_rabin(n: int, bases) -> bool:
     """True iff odd n is a strong probable prime to every base, each 1 < a < n - 1.
 
-    primality() screens n by the first 12 primes first, so n >= 41 there,
-    above each of those bases; it takes all 40 bases only for n >= 2^64.
+    primality() takes base 2 alone, after screening n by the first 12
+    primes, so n >= 41 there.
     """
     d = n - 1
     r = 0
@@ -111,8 +110,75 @@ def _miller_rabin(n: int, bases) -> bool:
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """True iff n, odd with no prime below 41, is a strong Lucas probable prime.
+
+    Selfridge's method A: D is the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D)/4.  A square n has no such D, so it
+    is rejected first.  A D with (D/n) = 0 shares a prime with n; for a
+    prime n the search stops at some |D| < n, so that proves n composite.
+    With n + 1 = d * 2^s, d odd, n passes iff U_d = 0 or V_(d 2^r) = 0
+    (mod n) for some 0 <= r < s.  U and V go up the bits of d from the top
+    by U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k and, for a set bit,
+    U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    u, v, qk = 1, 1, Q % n  # U_1, V_1, Q^1 with P = 1
+    for bit in bin(d)[3:]:
+        u = u * v % n
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = u + v, D * u + v
+            u = (u if u % 2 == 0 else u + n) // 2 % n
+            v = (v if v % 2 == 0 else v + n) // 2 % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
+
+
 def primality(n: int) -> Primality:
-    """Primality of n, recording whether the verdict is only probabilistic."""
+    """Primality of n, recording whether the verdict is only probabilistic.
+
+    Trial division by the first 12 primes, then BPSW (Baillie & Wagstaff
+    1980; Pomerance, Selfridge & Wagstaff 1980): one strong base-2 test
+    and one strong Lucas test.  Exact below 2^64; no composite is known to
+    pass above it.
+    """
     if n < 2:
         return Primality(False, False)
     for p in _DETERMINISTIC_BASES:
@@ -120,27 +186,30 @@ def primality(n: int) -> Primality:
             return Primality(True, False)
         if n % p == 0:
             return Primality(False, False)
-    if n < _DETERMINISTIC_LIMIT:
-        return Primality(_miller_rabin(n, _DETERMINISTIC_BASES), False)
-    return Primality(_miller_rabin(n, _BASES), True)
+    return Primality(_miller_rabin(n, (2,)) and _strong_lucas(n),
+                     n >= _DETERMINISTIC_LIMIT)
 
 
 def is_prime(n: int) -> bool:
-    """True iff n is prime (exact below 2^64, 40-witness Miller-Rabin above)."""
+    """True iff n is prime: BPSW, exact below 2^64 and probabilistic above."""
     return primality(n).prime
 
 
 @functools.lru_cache(maxsize=8)
-def primes_below(limit: int) -> tuple[int, ...]:
-    """All primes < limit, by sieve of Eratosthenes."""
-    if limit <= 2:
-        return ()
+def _sieve(limit: int) -> bytes:
+    """Sieve of Eratosthenes: byte i is 1 iff i is prime, 0 <= i < limit."""
     sieve = bytearray([1]) * limit
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit - 1) + 1):
         if sieve[i]:
-            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
-    return tuple(i for i in range(limit) if sieve[i])
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return bytes(sieve)
+
+
+@functools.lru_cache(maxsize=8)
+def primes_below(limit: int) -> tuple[int, ...]:
+    """All primes < limit, read from factor()'s sieve (or a larger one)."""
+    return tuple(compress(range(limit), _sieve(max(limit, TRIAL_BOUND))))
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +294,27 @@ class _Congruent(int):
 
 
 def _candidates(k: int, stop: int) -> range:
-    """The r = 1 (mod lcm(2, k)) with 1 < r < stop, ascending.
+    """The r = 1 (mod lcm(2, k)) with 1 < r < stop, ascending, composites too.
 
     For k >= 2 every prime that is 1 (mod k) is among them (it is odd).
     Used as trial divisors in ascending order, a composite candidate never
     divides: its primes are smaller candidates, already divided out, or
-    primes that cannot occur in the number at all.
+    primes that cannot occur in the number at all.  ppd_exists_above takes
+    them because its stop goes past the sieve that factor() reads
+    (_trial_primes).
     """
     e = math.lcm(2, k)
     return range(e + 1, stop, e)
+
+
+def _trial_primes(e: int):
+    """The primes r = 1 (mod e) below TRIAL_BOUND, ascending, read lazily.
+
+    The stride is a memoryview, so a call copies nothing and costs what the
+    caller reads before it stops.
+    """
+    sieve = memoryview(_sieve(TRIAL_BOUND))
+    return compress(range(e + 1, TRIAL_BOUND, e), sieve[e + 1::e])
 
 
 def _divide_out(m: int, trial, counts: Counter[int]) -> int:
@@ -305,9 +386,12 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int,
     return (g, used) if g != n else (None, used)
 
 
-def _as_perfect_power(n: int) -> tuple[int, int] | None:
-    """(root, k) with root**k == n and k >= 2 largest (root no perfect power), or None."""
-    for k in range(n.bit_length(), 1, -1):
+def _as_perfect_power(n: int, top: int) -> tuple[int, int] | None:
+    """(root, k) with root**k == n and 2 <= k <= top largest, or None.
+
+    With top >= n.bit_length(), the root is no perfect power.
+    """
+    for k in range(top, 1, -1):
         lo, hi = 1, 1 << (n.bit_length() // k + 1)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -322,7 +406,7 @@ def _as_perfect_power(n: int) -> tuple[int, int] | None:
 
 # Every result of factor(), complete or not, keyed by all that decides it:
 # (n, modulus, budget), modulus that of a _Congruent n or 1.  The trial bound
-# and Miller-Rabin bases are constants and rho is seeded by the cofactor
+# and the primality test are fixed and rho is seeded by the cofactor
 # alone, so an earlier call changes how fast a later one answers, not what.
 _FACTOR_CACHE: dict[tuple[int, int, int], Factorization] = {}
 
@@ -347,13 +431,19 @@ def factor(n: int) -> Factorization:
     _Congruent with modulus k (see the module docstring), the primes of k
     below the bound are divided out first; every other prime below the
     bound that can divide n is 1 (mod e), e = lcm(2, k).  Trial division
-    then takes only the r = 1 (mod e) below the bound (or the primes below
-    it, when those are fewer), so every prime below the bound that divides
-    n is still divided out, and a cofactor below its square is still prime.
-    Rho iterates x -> x^e + c.  Without a congruence e = 2: all primes
-    below the bound and x -> x^2 + c.  The budget is configure()'s, and it
-    alone decides what completes: each cofactor's rho walk is seeded by the
-    cofactor, so the same (n, modulus, budget) always gives the same result.
+    then takes only the primes r = 1 (mod e) below the bound, read lazily
+    from the sieve (_trial_primes), or all the primes below it when those
+    are fewer than the r = 1 (mod e) that the sieve's stride walks.  So
+    every prime below the bound that divides n is still divided out, and a
+    cofactor below its square is still prime.
+    A cofactor above that square is tested by BPSW (primality), and a
+    prime above 2^64 is recorded in probable.  A composite one is taken as
+    a perfect power b^k if it is one, where b >= bound > 2^16 bounds k by
+    its bit length over 16, and split by rho on x -> x^e + c otherwise.
+    Without a congruence e = 2: all primes below the bound and
+    x -> x^2 + c.  The budget is configure()'s, and it alone decides what
+    completes: each cofactor's rho walk is seeded by the cofactor, so the
+    same (n, modulus, budget) always gives the same result.
     """
     if n < 1:
         raise ValueError("factor requires n >= 1")
@@ -379,7 +469,7 @@ def factor(n: int) -> Factorization:
                 counts[r] += 1
                 m //= r
     if bound // e < len(trial):
-        trial = _candidates(k, bound)
+        trial = _trial_primes(e)
     m = _divide_out(m, trial, counts)
     cofactor = 1
 
@@ -397,7 +487,9 @@ def factor(n: int) -> Factorization:
             if st.probabilistic:
                 probable.add(c)
             return
-        power = _as_perfect_power(c)
+        # c = b^k with b >= bound >= 2^t, t = 16, so k <= c.bit_length() // t
+        t = bound.bit_length() - 1
+        power = _as_perfect_power(c, c.bit_length() // t)
         if power is not None:
             settle(power[0], mult * power[1])
             return
@@ -668,7 +760,7 @@ def _prime_power(u: int) -> tuple[int, int] | None:
     """(q, n) with q prime and q^n == u, or None."""
     if u < 2:
         return None
-    base, exp = _as_perfect_power(u) or (u, 1)
+    base, exp = _as_perfect_power(u, u.bit_length()) or (u, 1)
     return (base, exp) if is_prime(base) else None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -584,6 +585,30 @@ def test_json_and_text_verdicts_agree(capsys):
     assert "yes" in out
 
 
+# sha256 of the --json stdout of each command line, pinned at the commit
+# before primality moved to BPSW and trial division to the sieve's primes:
+# those changes, and any later speed-up, must leave every byte as it was.
+PINNED_DOCUMENTS = {
+    "ppd 7 30 --upto": "e13da7cbfff11b98b2d807b03d7bad727b6861be46bb4ddc93ff745c606f46a6",
+    "ppd 2 89": "cf9941bc68515357cc132ad9273d6c0bdb575b92af73821aa062aa856de099c1",
+    "ppd 7 60": "5510c9ec84e663a340fd55ee9f7bcae9b56b207f41e2908dcf96f99a4e888aaf",
+    "graph pgl2 97 24": "47a50652eb5d01e8cb2db823032659f4f2b07475c1cbf8e06a3beaa211dc6d40",
+    "omega psl2 37 24": "f13a05c3defea7e415f73a1596fa9e7696da5421d65d85bebfc9fb0955adadb7",
+    "factor 618970019642690137449562111":
+        "58d60d6da1e6220e2587749f73c5b219836daa925a12820ba759705d6f11459d",
+    "ppd-above 73 126 10000000":
+        "d818dc6a16b7db5e3dba58414c60d28853c897e333b9a35d87e7738338841ce7",
+    "verify all": "cbc024182d5eefc9c4ae23d53e90251bf8c343dcbda6f40b4e7cb8fb3e36165c",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_DOCUMENTS)
+def test_json_document_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, "--json", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DOCUMENTS[argv]
+
+
 def test_json_deterministic_across_runs(capsys):
     _, _, raw1 = run_json(capsys, "factor", "2402")
     _, _, raw2 = run_json(capsys, "factor", "2402")
@@ -595,6 +620,13 @@ def test_seed_option_is_rejected(capsys):
     code, out, err = run(capsys, "--seed", "1", "ppd", "7", "5")
     assert code == 2 and out == "" and "usage: pglspectra" in err
     # argparse alone would reject its value 1 as the command instead
+    assert "unrecognized arguments: --seed" in err
+
+
+def test_unknown_option_is_named_despite_a_bad_value_after_it(capsys):
+    code, out, err = run(capsys, "--seed", "1", "oracle", "gl2", "2", "2",
+                         "--cap", "x")
+    assert code == 2 and out == ""
     assert "unrecognized arguments: --seed" in err
 
 

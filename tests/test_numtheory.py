@@ -713,12 +713,87 @@ def test_strong_pseudoprimes_to_small_bases_are_rejected(n, bases, factors):
 
 
 def test_first_twelve_bases_are_fooled_above_two_to_the_64():
-    # why primality takes all 40 bases from 2^64 on: the first 12 primes
-    # call this composite above 2^64 prime
+    # why the first 12 primes as bases are exact only below 2^64: they call
+    # this composite above 2^64 prime
     n = 399165290221 * 798330580441
     assert n == 318665857834031151167461 > nt._DETERMINISTIC_LIMIT
     assert nt._miller_rabin(n, nt._DETERMINISTIC_BASES)
     assert not nt.is_prime(n)
+
+
+def test_primality_matches_sympy_from_65_to_200_bits():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(21)
+    starts = [rng.getrandbits(bits) | 1 << (bits - 1) | 1
+              for bits in range(65, 201) for _ in range(2)]
+    # each start and the next prime after it, so both verdicts are common
+    for n in starts + [sympy.nextprime(n) for n in starts]:
+        assert nt.primality(n).prime == sympy.isprime(n), n
+
+
+# Arnault (J. Symb. Comp. 20, 1995): a composite of 1318 bits that is a
+# strong pseudoprime to every prime base below 307.
+ARNAULT_P1 = int(
+    "296744956686855105501541746429053327307719917998530433509950"
+    "755312768387531717701995942385964281211880336647542183455624"
+    "93168782883")
+ARNAULT_N = int(
+    "288714823805077121267142959713039399197760945927972270092651602419743"
+    "230379915273311632898314463922594197780311092934965557841894944174093"
+    "380561511397999942154241693397290542371100275104208013496673175515285"
+    "922696291677532547504444585610194940420003990443211677661994962953925"
+    "045269871932907037356403227370127845389912612030924484149472897688540"
+    "6024976768122077071687938121709811322297802059565867")
+
+
+def test_arnault_composite_is_rejected():
+    p1 = ARNAULT_P1
+    assert ARNAULT_N == p1 * (313 * (p1 - 1) + 1) * (353 * (p1 - 1) + 1)
+    # it fools every Miller-Rabin base below 307, and so any fixed set of
+    # prime bases that stops there
+    assert nt._miller_rabin(ARNAULT_N, nt.primes_below(307))
+    assert nt.primality(ARNAULT_N) == nt.Primality(False, True)
+    assert not nt.is_prime(ARNAULT_N)
+
+
+@pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+def test_strong_lucas_pseudoprimes_are_rejected(n):
+    # OEIS A217255: composites that pass the strong Lucas test with
+    # Selfridge's parameters, so base 2 alone rejects them
+    assert nt._strong_lucas(n)
+    assert not nt._miller_rabin(n, (2,))
+    assert not nt.is_prime(n)
+    assert not naive_is_prime(n)
+
+
+def test_strong_lucas_matches_sympy_below_20000():
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+    for n in range(41, 20000, 2):
+        if all(n % p for p in nt._DETERMINISTIC_BASES):
+            assert nt._strong_lucas(n) == is_strong_lucas_prp(n), n
+    assert sympy.isprime(19997) and nt._strong_lucas(19997)
+
+
+def test_trial_primes_are_the_sieve_primes_one_mod_e():
+    below = nt.primes_below(nt.TRIAL_BOUND)
+    for e in range(2, 201, 2):
+        assert list(nt._trial_primes(e)) == [r for r in below if r % e == 1], e
+    for e in (nt.TRIAL_BOUND, nt.TRIAL_BOUND + 2, 3 * nt.TRIAL_BOUND):
+        assert list(nt._trial_primes(e)) == [], e
+
+
+def test_factor_congruent_across_the_trial_bound():
+    # r is the last trial divisor for modulus e, s the first prime of the
+    # same form that trial division does not reach
+    sympy = pytest.importorskip("sympy")
+    for e in range(2, 201, 2):
+        r = max(nt._trial_primes(e))
+        s = next(s for s in range(nt.TRIAL_BOUND + 1, 10 * nt.TRIAL_BOUND, 2)
+                 if s % e == 1 and sympy.isprime(s))
+        for n in (r * s, r * r * s):
+            f = nt.factor(nt._Congruent(n, e))
+            assert f.complete and f.as_dict() == sympy.factorint(n), (e, n)
 
 
 def test_factor_matches_sympy_on_seeded_products():
