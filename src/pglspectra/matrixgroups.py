@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import product
 from math import gcd
 
@@ -338,13 +337,11 @@ def subgroup_closure(gens, ctx: FieldCtx, cap: int = DEFAULT_CLOSURE_CAP) -> lis
     return order
 
 
-@dataclass(frozen=True)
-class SubgroupWitness:
-    """A subgroup found by search: its generators, elements and order census."""
+class SubgroupWitness(namedtuple("SubgroupWitness", "generators elements order_counts")):
+    """A subgroup found by search: its generators, elements and order census,
+    the pairs (element order, multiplicity)."""
 
-    generators: tuple
-    elements: tuple
-    order_counts: tuple[tuple[int, int], ...]  # (element order, multiplicity)
+    __slots__ = ()
 
     @property
     def order_set(self) -> frozenset[int]:

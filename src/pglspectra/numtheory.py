@@ -37,11 +37,11 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import compress
 
 from .errors import FactorizationIncomplete, NotCoprime
+from .records import FrozenRecord
 
 # The trial bound is fixed; configure() alone sets the rho budget that
 # factor() uses, and cli.main sets it for one invocation.
@@ -80,10 +80,10 @@ _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
 
 
-@dataclass(frozen=True)
-class Primality:
-    prime: bool
-    probabilistic: bool  # True when n was beyond the deterministic threshold
+class Primality(namedtuple("Primality", "prime probabilistic")):
+    """probabilistic is True when n was beyond the deterministic threshold."""
+
+    __slots__ = ()
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -208,16 +208,22 @@ def _sieve(limit: int) -> bytes:
 
 @functools.lru_cache(maxsize=8)
 def primes_below(limit: int) -> tuple[int, ...]:
-    """All primes < limit, read from factor()'s sieve (or a larger one)."""
-    return tuple(compress(range(limit), _sieve(max(limit, TRIAL_BOUND))))
+    """All primes < limit, read from factor()'s sieve (or a larger one).
+
+    Only the odd numbers are read, so half as many ints are made.
+    """
+    if limit <= 2:
+        return ()
+    return (2, *compress(range(3, limit, 2), _sieve(max(limit, TRIAL_BOUND))[3::2]))
 
 
 # ---------------------------------------------------------------------------
 # factorization
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization",
+                                "base_n factors complete cofactor probable",
+                                defaults=(True, 1, ()))):
     """n as a product of primes: factors = ((prime, exponent), ...) ascending.
 
     When complete is False the listed part only divides base_n and the
@@ -225,11 +231,7 @@ class Factorization:
     whose primality was established only probabilistically.
     """
 
-    base_n: int
-    factors: tuple[tuple[int, int], ...]
-    complete: bool = True
-    cofactor: int = 1
-    probable: tuple[int, ...] = ()
+    __slots__ = ()
 
     def product(self) -> int:
         out = 1
@@ -629,26 +631,27 @@ def zsigmondy_exception(a: int, n: int) -> str:
     return EXCEPTION_NONE
 
 
-@dataclass(frozen=True)
-class PpdReport:
+class PpdReport(FrozenRecord):
     """Outcome of a primitive-prime-divisor query on a^n - 1.
 
     primitive_primes holds every prime s with s | a^n - 1 and s not dividing
     a^i - 1 for 1 <= i < n that the chosen method identified; complete says
     whether that set is exhaustive.  For the residual method the verdict
-    exists_above_threshold is exact even when the set is not.
+    exists_above_threshold is exact even when the set is not.  probable,
+    the primes only probably prime, is left out of == and hash.
     """
 
-    a: int
-    n: int
-    primitive_primes: frozenset[int]
-    exception: str = EXCEPTION_NONE
-    method: str = METHOD_FULL
-    residual: int = 1
-    threshold: int | None = None
-    exists_above_threshold: bool | None = None
-    complete: bool = True
-    probable: tuple[int, ...] = field(default=(), compare=False)
+    __slots__ = ("a", "n", "primitive_primes", "exception", "method", "residual",
+                 "threshold", "exists_above_threshold", "complete", "probable")
+    _compared = __slots__[:-1]
+
+    def __init__(self, a: int, n: int, primitive_primes: frozenset[int],
+                 exception: str = EXCEPTION_NONE, method: str = METHOD_FULL,
+                 residual: int = 1, threshold: int | None = None,
+                 exists_above_threshold: bool | None = None,
+                 complete: bool = True, probable: tuple[int, ...] = ()):
+        self._fill(a, n, primitive_primes, exception, method, residual,
+                   threshold, exists_above_threshold, complete, probable)
 
 
 def _stripped_cyclotomic(a: int, n: int) -> int:
@@ -731,15 +734,10 @@ FAMILY_EXCEPTIONAL = "exceptional"
 FAMILY_UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True)
-class CatalanSolution:
+class CatalanSolution(namedtuple("CatalanSolution", "p m q n family")):
     """A solution of p^m = q^n + 1 with p, q prime and m, n >= 1."""
 
-    p: int
-    m: int
-    q: int
-    n: int
-    family: str
+    __slots__ = ()
 
     @property
     def value(self) -> int:

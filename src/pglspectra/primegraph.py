@@ -12,28 +12,27 @@ that multiply to q -+ 1 (or their halves), never q -+ 1 whole.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotPrime
 from .numtheory import is_prime
 from .spectra import Spectrum
 
 
-@dataclass(frozen=True)
-class PrimeGraph:
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]  # pairs (r, s) with r < s
+class PrimeGraph(namedtuple("PrimeGraph", "vertices edges")):
+    """A prime graph: its edges are pairs (r, s) of vertices with r < s."""
+
+    __slots__ = ()
 
     def is_isolated(self, v: int) -> bool:
         return v in self.vertices and not any(v in e for e in self.edges)
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(namedtuple("ComponentPartition", "components")):
     """Connected components, by smallest member ascending: the one
     containing 2 comes first when 2 is a vertex."""
 
-    components: tuple[frozenset[int], ...]
+    __slots__ = ()
 
     @property
     def t(self) -> int:
@@ -72,13 +71,11 @@ def components(g: PrimeGraph) -> ComponentPartition:
     return ComponentPartition(tuple(comps))
 
 
-@dataclass(frozen=True)
-class ComponentSpectra:
+class ComponentSpectra(namedtuple("ComponentSpectra", "mu_sets tail_singletons")):
     """mu restricted to each component; tail_singletons[i] says whether the
     (i+2)-nd component carries exactly one maximal order."""
 
-    mu_sets: tuple[frozenset[int], ...]
-    tail_singletons: tuple[bool, ...]
+    __slots__ = ()
 
 
 def mu_components(s: Spectrum, part: ComponentPartition) -> ComponentSpectra:

@@ -10,18 +10,17 @@ so that consumers factor the pieces, not q -+ 1 whole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import BadAction, CapExceeded, NotPrime
 from .numtheory import (Factorization, factor_pieces, is_prime, primes_below,
                         q_pm_1_pieces)
+from .records import FrozenRecord
 
 DEFAULT_PARTITION_CAP = 40
 DEFAULT_GROUP_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(FrozenRecord):
     """An element-order spectrum held by its maximal orders.
 
     mu must be a divisibility antichain: no member divides another.  In
@@ -33,14 +32,18 @@ class Spectrum:
     order without an entry is its own single piece.  Building a spectrum
     factors nothing: the closed forms take their pieces, found by exact
     division and tagged with their d, from numtheory.q_pm_1_pieces.
+
+    Two spectra are equal when their mu are; label and pieces are left out
+    of == and hash, and pieces out of the repr.
     """
 
-    mu: frozenset[int]
-    label: str = field(default="", compare=False)
-    pieces: dict[int, tuple[int, ...]] = field(default_factory=dict,
-                                               compare=False, repr=False)
+    __slots__ = ("mu", "label", "pieces")
+    _shown = ("mu", "label")
+    _compared = ("mu",)
 
-    def __post_init__(self):
+    def __init__(self, mu: frozenset[int], label: str = "",
+                 pieces: dict[int, tuple[int, ...]] | None = None):
+        self._fill(mu, label, {} if pieces is None else pieces)
         self._check_orders()
         for m in self.mu:
             for k in self.mu:
@@ -61,10 +64,8 @@ class Spectrum:
         It skips the constructor's O(|mu|^2) pairwise re-check, which
         dominates for large mu (S_n, A_n), and keeps the other checks.
         """
-        s = object.__new__(cls)
-        object.__setattr__(s, "mu", mu)
-        object.__setattr__(s, "label", label)
-        object.__setattr__(s, "pieces", pieces or {})
+        s = cls.__new__(cls)
+        s._fill(mu, label, pieces or {})
         s._check_orders()
         return s
 

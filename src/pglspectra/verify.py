@@ -11,13 +11,14 @@ the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import NotCppPrime, NotPrime
 from .numtheory import (FAMILY_EXCEPTIONAL, FAMILY_UNCLASSIFIED, Factorization,
                         catalan_solutions, is_prime, multiplicative_order,
                         ppd_exists_above, primitive_prime_divisors)
 from .primegraph import build_graph, components, mu_components
+from .records import Record
 from .spectra import mu_pgl2
 
 # ---------------------------------------------------------------------------
@@ -71,14 +72,10 @@ PPD_THRESHOLD_ROWS: tuple[tuple[int, int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CaseFactorization:
+class CaseFactorization(namedtuple("CaseFactorization", "p n printed_minus printed_plus")):
     """A printed factorization pair for p^n -+ 1 from the reference data."""
 
-    p: int
-    n: int
-    printed_minus: tuple[tuple[int, int], ...]
-    printed_plus: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 CASE_FACTORIZATIONS: tuple[CaseFactorization, ...] = (
@@ -119,13 +116,12 @@ COMPONENT_PAIRS: tuple[tuple[int, int], ...] = (
 # ---------------------------------------------------------------------------
 # C_pp reference table
 
-@dataclass(frozen=True)
-class CppGroupDescriptor:
+class CppGroupDescriptor(namedtuple("CppGroupDescriptor", "family parameter",
+                                    defaults=("",))):
     """One simple-group entry of a C_pp table row: family plus the printed
     parameter constraint (empty for sporadic groups)."""
 
-    family: str
-    parameter: str = ""
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.family}({self.parameter})" if self.parameter else self.family
@@ -227,18 +223,28 @@ def table2_lookup(p: int) -> tuple[CppGroupDescriptor, ...]:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
-class CheckItem:
-    name: str
-    passed: bool
-    detail: str = ""
-    erratum: bool = False  # a documented reference-data discrepancy showed up
+class CheckItem(Record):
+    """One check; erratum says a documented reference-data discrepancy
+    showed up."""
+
+    __slots__ = ("name", "passed", "detail", "erratum")
+
+    def __init__(self, name: str, passed: bool, detail: str = "",
+                 erratum: bool = False):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.erratum = erratum
 
 
-@dataclass
-class Report:
-    title: str
-    items: list[CheckItem] = field(default_factory=list)
+class Report(Record):
+    """A titled list of checks, which a checker appends to."""
+
+    __slots__ = ("title", "items")
+
+    def __init__(self, title: str, items: list[CheckItem] | None = None):
+        self.title = title
+        self.items = [] if items is None else items
 
     @property
     def ok(self) -> bool:

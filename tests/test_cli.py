@@ -585,9 +585,12 @@ def test_json_and_text_verdicts_agree(capsys):
     assert "yes" in out
 
 
-# sha256 of the --json stdout of each command line, pinned at the commit
-# before primality moved to BPSW and trial division to the sieve's primes:
-# those changes, and any later speed-up, must leave every byte as it was.
+# sha256 of the --json stdout of each command line, pinned before a change
+# that must leave every byte as it was: the first eight before primality
+# moved to BPSW and trial division to the sieve's primes, the last five
+# (one per command or option not pinned before) before the records became
+# namedtuples and slotted classes.  A namedtuple that reached a payload
+# would render as a list without any error.
 PINNED_DOCUMENTS = {
     "ppd 7 30 --upto": "e13da7cbfff11b98b2d807b03d7bad727b6861be46bb4ddc93ff745c606f46a6",
     "ppd 2 89": "cf9941bc68515357cc132ad9273d6c0bdb575b92af73821aa062aa856de099c1",
@@ -599,6 +602,13 @@ PINNED_DOCUMENTS = {
     "ppd-above 73 126 10000000":
         "d818dc6a16b7db5e3dba58414c60d28853c897e333b9a35d87e7738338841ce7",
     "verify all": "cbc024182d5eefc9c4ae23d53e90251bf8c343dcbda6f40b4e7cb8fb3e36165c",
+    "--cap 100000 mu sym 80":
+        "7ef3c75bb2eed0d26d38e2f8bdab91125de3c1a5cabf908cfac19c27a89aab8f",
+    "--cap 49 oracle psl2 7 2":
+        "1f4936d5754e817c76a7518ddff4331082d87e4e4ebcb88bf0266e7d6c888f28",
+    "catalan 1000000": "9d10392e27cee87f33c71d91a1c8c9ca3a4fd0d797aa5e41caa8306006184d32",
+    "graph pgl2 7 4 --dot": "6eb0120a428dfe308fca2e85c6adc4e725abbb0e32b0f428d60cce407c0acf83",
+    "verify pgl2 7 1": "6e412be43e465b56e2dec87fb61f220c9d55743e4848012a23b246362976712f",
 }
 
 
@@ -744,6 +754,22 @@ for argv in (["--json", "verify", "all"], ["--cap", "50", "oracle", "gl2", "3", 
              ["graph", "pgl2", "7", "4"], ["ppd", "7", "5"]):
     assert cli.main(argv) == 0, argv
 assert len(matrixgroups.find_binary_octahedral_subgroup(0).elements) == 48
+"""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def test_cold_start_loads_no_code_generators():
+    # the records generate no code at import, so neither dataclasses nor
+    # inspect, ast and dis, which it pulls in, is loaded by a cold start
+    code = """
+import sys
+import pglspectra.cli
+assert pglspectra.cli.main(["--json", "ppd", "2", "1"]) == 0
+loaded = [m for m in ("dataclasses", "inspect", "ast", "dis") if m in sys.modules]
+assert not loaded, loaded
 """
     src = Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -781,6 +782,18 @@ def test_trial_primes_are_the_sieve_primes_one_mod_e():
         assert list(nt._trial_primes(e)) == [r for r in below if r % e == 1], e
     for e in (nt.TRIAL_BOUND, nt.TRIAL_BOUND + 2, 3 * nt.TRIAL_BOUND):
         assert list(nt._trial_primes(e)) == [], e
+
+
+def test_primes_below_matches_the_full_range_read():
+    # primes_below reads only the sieve's odd stride; the parent read every
+    # index of range(limit)
+    for limit in [*range(301), nt.TRIAL_BOUND, nt.TRIAL_BOUND + 1]:
+        full = tuple(itertools.compress(range(limit),
+                                        nt._sieve(max(limit, nt.TRIAL_BOUND))))
+        assert nt.primes_below(limit) == full, limit
+    assert nt.primes_below(0) == nt.primes_below(1) == nt.primes_below(2) == ()
+    assert nt.primes_below(3) == (2,)
+    assert len(nt.primes_below(nt.TRIAL_BOUND)) == 9592
 
 
 def test_factor_congruent_across_the_trial_bound():

@@ -102,6 +102,9 @@ def test_spectrum_rejects_non_antichain():
         sp.Spectrum(frozenset({1, 3}))
     with pytest.raises(ValueError):
         sp.Spectrum(frozenset())
+    for mu in (frozenset({0, 3}), frozenset({-2})):
+        with pytest.raises(ValueError, match="positive"):
+            sp.Spectrum(mu)
 
 
 def test_spectrum_allows_trivial():
