@@ -71,9 +71,13 @@ _LIMITS = {"cap": "cap", "nmax": "n_max", "bound": "value_bound"}
 # Built on the first main() call and reused: parse_args leaves a parser
 # unchanged, so a call sees nothing of an earlier one.
 @functools.cache
-def _global_options() -> argparse.ArgumentParser:
-    """The options before the command, alone: build_parser's parent."""
-    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pglspectra",
+        description="Element-order spectra, prime graphs and primitive prime "
+                    "divisors for PGL/PSL(2,q) at desk scale.",
+        exit_on_error=False,
+    )
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable document")
     parser.add_argument("--budget", type=int, default=numtheory.DEFAULT_RHO_BUDGET,
@@ -83,18 +87,7 @@ def _global_options() -> argparse.ArgumentParser:
     parser.add_argument("--cap", type=int,
                         help="size cap: n for sym/alt, m*n for metacyclic, "
                              "q for oracle; other choices reject it")
-    return parser
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pglspectra",
-        description="Element-order spectra, prime graphs and primitive prime "
-                    "divisors for PGL/PSL(2,q) at desk scale.",
-        parents=[_global_options()], exit_on_error=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("ppd", help="primitive prime divisors of a^n - 1")
     p.add_argument("a", type=int)
@@ -410,19 +403,18 @@ def _inputs_of(args) -> dict:
 
 
 def _unknown_option(argv) -> str | None:
-    """The first token the global options leave, if it is an option.
+    """The first option the parser does not know, if it precedes the command.
 
     argparse takes the value of an option it does not know for the command
-    (`--seed 1 ppd 7 5` is an invalid choice '1'), so main names this token
+    (`--seed 1 ppd 7 5` is an invalid choice '1'), so main names the option
     instead.  It is sought on ever longer prefixes of argv, so that a bad
     value further on (`--seed 1 oracle gl2 2 2 --cap x`) cannot hide it.
     """
     for stop in range(1, len(argv) + 1):
         with contextlib.suppress(argparse.ArgumentError):
-            rest = _global_options().parse_known_args(argv[:stop])[1]
+            rest = build_parser().parse_known_args(argv[:stop])[1]
             if rest:
-                return rest[0] if rest[0].startswith("-") else None
-    return None
+                return rest[0]
 
 
 def main(argv=None) -> int:
@@ -437,6 +429,8 @@ def main(argv=None) -> int:
                 if unknown is not None:
                     message = f"unrecognized arguments: {unknown}"
             parser.error(message)
+        if args.command is None:
+            parser.error("the following arguments are required: command")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     diagnostics: list[str] = []

@@ -24,8 +24,8 @@ congruence when the number comes as a _Congruent, which only this module
 builds, next to the proof: the pieces of _cyclotomic_pieces and
 q_pm_1_pieces, and the stripped Phi_n(a) of primitive_prime_divisors.
 With e = lcm(2, k) every prime not dividing k is odd and 1 (mod e), so
-after the primes of k are divided out, trial division needs only the
-primes r = 1 (mod e), read from one sieve, and rho iterates x -> x^e + c
+trial division needs only the primes of k and the primes r = 1 (mod e),
+read from one sieve, and rho iterates x -> x^e + c
 (Brent & Pollard, Math. Comp. 36, 1981): x -> x^e is e-to-1 on the units
 mod such a prime, so the walk lives on about s/e values and its expected
 length falls by about sqrt(e).  Each step costs the roughly log2(e)
@@ -38,7 +38,7 @@ import functools
 import math
 import random
 from collections import Counter, namedtuple
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import FactorizationIncomplete, NotCoprime
 from .records import FrozenRecord
@@ -430,14 +430,14 @@ def factor(n: int) -> Factorization:
     pow(x, e, n) takes, so it bounds the time spent whatever e is.
 
     The trial bound is the constant TRIAL_BOUND.  When n is a
-    _Congruent with modulus k (see the module docstring), the primes of k
-    below the bound are divided out first; every other prime below the
-    bound that can divide n is 1 (mod e), e = lcm(2, k).  Trial division
-    then takes only the primes r = 1 (mod e) below the bound, read lazily
-    from the sieve (_trial_primes), or all the primes below it when those
-    are fewer than the r = 1 (mod e) that the sieve's stride walks.  So
-    every prime below the bound that divides n is still divided out, and a
-    cofactor below its square is still prime.
+    _Congruent with modulus k (see the module docstring), every prime of n
+    divides k or is 1 (mod e), e = lcm(2, k).  One ascending walk divides
+    out the primes of k, all at most k < e + 1, then the primes
+    r = 1 (mod e) below the bound, read lazily from the sieve
+    (_trial_primes); or all the primes below it when those are fewer than
+    the r = 1 (mod e) that the sieve's stride walks.  So every prime below
+    the bound that divides n is still divided out, and a cofactor below
+    its square is still prime.
     A cofactor above that square is tested by BPSW (primality), and a
     prime above 2^64 is recorded in probable.  A composite one is taken as
     a perfect power b^k if it is one, where b >= bound > 2^16 bounds k by
@@ -460,19 +460,11 @@ def factor(n: int) -> Factorization:
 
     counts: Counter[int] = Counter()
     probable: set[int] = set()
-    m = n
     e = math.lcm(2, k)
     trial = primes_below(bound)
-    for r in trial:  # the primes of k below bound
-        if r > k:
-            break
-        if k % r == 0:
-            while m % r == 0:
-                counts[r] += 1
-                m //= r
-    if bound // e < len(trial):
-        trial = _trial_primes(e)
-    m = _divide_out(m, trial, counts)
+    if bound // e < len(trial):  # the primes of k, then the r = 1 (mod e)
+        trial = chain([r for r in trial[:k] if k % r == 0], _trial_primes(e))
+    m = _divide_out(n, trial, counts)
     cofactor = 1
 
     def settle(c: int, mult: int) -> None:

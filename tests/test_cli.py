@@ -214,6 +214,14 @@ def test_bound_error_names_the_bound_given(capsys, argv, bound):
     assert (code, out, err) == (2, "", f"error: bound must be >= 9, got {bound}\n")
 
 
+def test_factor_of_1_is_the_empty_product(capsys):
+    assert run(capsys, "factor", "1") == (0, "1 = 1\n", "")
+
+
+def test_sym_n_below_1_is_a_domain_error(capsys):
+    assert run(capsys, "mu", "sym", "0") == (2, "", "error: n must be >= 1\n")
+
+
 def test_oracle_n_below_1_is_a_domain_error(capsys):
     # not a field outside the caps (exit 3): the same answer as mu gives
     for n in ("0", "-1"):
@@ -638,6 +646,20 @@ def test_unknown_option_is_named_despite_a_bad_value_after_it(capsys):
                          "--cap", "x")
     assert code == 2 and out == ""
     assert "unrecognized arguments: --seed" in err
+
+
+def test_unknown_option_alone_is_named(capsys):
+    # with no command after it the option is all the parser leaves
+    code, out, err = run(capsys, "--seed")
+    assert code == 2 and out == "" and "usage: pglspectra" in err
+    assert "unrecognized arguments: --seed" in err
+
+
+@pytest.mark.parametrize("argv", [(), ("--json",)])
+def test_missing_command_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "usage: pglspectra" in err
+    assert "the following arguments are required: command" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -44,6 +44,11 @@ def test_field_size_and_encoding_round_trip():
         assert ctx.encode(ctx.decode(x)) == x
 
 
+def test_field_zero_has_no_inverse():
+    with pytest.raises(ZeroDivisionError, match="0 has no inverse"):
+        mg.field_ctx(5, 1).inv(0)
+
+
 FIELD_SIZES = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
 
 

@@ -414,6 +414,11 @@ def test_multiplicative_order_not_coprime():
         nt.multiplicative_order(6, 27)
 
 
+def test_multiplicative_order_rejects_a_modulus_below_2():
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        nt.multiplicative_order(3, 1)
+
+
 def test_multiplicative_order_against_stepping():
     for m in range(2, 300):  # every coprime pair, then seeded larger moduli
         for a in range(1, m):
@@ -776,6 +781,15 @@ def test_strong_lucas_matches_sympy_below_20000():
     assert sympy.isprime(19997) and nt._strong_lucas(19997)
 
 
+@pytest.mark.parametrize("n, D", [(41 * 13151, 41), (43 * 58717, -43)])
+def test_strong_lucas_rejects_a_shared_prime_met_by_the_search(n, D):
+    # Selfridge's search 5, -7, 9, ... meets (D/n) = 0 before any (D/n) = -1
+    searched = [d * (-1) ** i for i, d in enumerate(range(5, abs(D) + 1, 2))]
+    assert searched[-1] == D
+    assert [nt._jacobi(d, n) for d in searched] == [1] * (len(searched) - 1) + [0]
+    assert not nt._strong_lucas(n)
+
+
 def test_trial_primes_are_the_sieve_primes_one_mod_e():
     below = nt.primes_below(nt.TRIAL_BOUND)
     for e in range(2, 201, 2):
@@ -807,6 +821,24 @@ def test_factor_congruent_across_the_trial_bound():
         for n in (r * s, r * r * s):
             f = nt.factor(nt._Congruent(n, e))
             assert f.complete and f.as_dict() == sympy.factorint(n), (e, n)
+
+
+def test_factor_congruent_walk_that_stops_on_a_prime_of_the_modulus():
+    # the walk takes the primes of k before the r = 1 (mod e), and may stop
+    # on one of them; what is left is then 1 or a prime below the bound's
+    # square
+    sympy = pytest.importorskip("sympy")
+    for k in range(2, 201):
+        e = math.lcm(2, k)
+        if e <= 10:  # all primes below the bound are the walk
+            continue
+        primes = sorted(sympy.primefactors(k))
+        top = primes[-1]
+        s = next(s for s in range(nt.TRIAL_BOUND + 1, 10 * nt.TRIAL_BOUND, 2)
+                 if s % e == 1 and sympy.isprime(s))
+        for n in (*primes, math.prod(primes), math.prod(primes) * top, top * s):
+            f = nt.factor(nt._Congruent(n, k))
+            assert f.complete and f.as_dict() == sympy.factorint(n), (k, n)
 
 
 def test_factor_matches_sympy_on_seeded_products():

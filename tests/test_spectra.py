@@ -385,6 +385,16 @@ def test_metacyclic_rejects_bad_action():
         sp.omega_metacyclic(9, 2, 3)  # gcd(3, 9) > 1
 
 
+def test_metacyclic_rejects_an_order_below_1():
+    with pytest.raises(ValueError, match="orders must be positive"):
+        sp.omega_metacyclic(0, 3, 1)
+
+
+def test_maximal_elements_of_no_orders_is_rejected():
+    with pytest.raises(ValueError, match="empty order set"):
+        sp.maximal_elements([])
+
+
 def test_metacyclic_orders_divide_group_order():
     for m, n in itertools.product((1, 2, 3, 5, 8, 12), (1, 2, 3, 4, 6)):
         for k in range(1, m + 1):
