@@ -2,7 +2,9 @@
 
 This is the independent oracle for the closed-form spectra: fields are
 built from an explicit irreducible modulus and computed in by Zech
-logarithms, and element orders are found by stepping in the field from one
+logarithms.  Over a prime field GF(p) an element is encoded as its residue
+mod p, and matrix products, Lucas steps and traces are computed as integers
+mod p instead.  Element orders are found by stepping in the field from one
 companion matrix per orbit of conjugacy classes under scaling by nonzero
 field elements, about q Lucas sequences for GL(2, q) and PGL(2, q); the
 linear orders of the scaled classes are read from logs.  Nothing here knows
@@ -191,8 +193,13 @@ MAT_IDENTITY = (1, 0, 0, 1)
 
 
 def mat_mul(x, y, ctx: FieldCtx):
+    """The product xy; over GF(p) the entries are residues, multiplied mod p."""
     a, b, c, d = x
     e, f, g, h = y
+    if ctx.n == 1:
+        p = ctx.p
+        return ((a * e + b * g) % p, (a * f + b * h) % p,
+                (c * e + d * g) % p, (c * f + d * h) % p)
     return (
         ctx.add(ctx.mul(a, e), ctx.mul(b, g)),
         ctx.add(ctx.mul(a, f), ctx.mul(b, h)),
@@ -214,9 +221,16 @@ def _companion_power(t: int, d: int, ctx: FieldCtx) -> tuple[int, int]:
 
     By Cayley-Hamilton C^k = U_k C - d U_{k-1} I, where U_0 = 0, U_1 = 1 and
     U_{k+1} = t U_k - d U_{k-1}; C is not scalar, so k is the first zero of U.
+    Over GF(p) U is stepped in integers mod p.
     """
     minus_d = ctx.neg(d)
     prev, cur, k = 0, 1, 1
+    if ctx.n == 1:
+        p = ctx.p
+        while cur != 0:
+            prev, cur = cur, (t * cur + minus_d * prev) % p
+            k += 1
+        return k, minus_d * prev % p
     while cur != 0:
         prev, cur = cur, ctx.add(ctx.mul(t, cur), ctx.mul(minus_d, prev))
         k += 1
@@ -233,12 +247,15 @@ def _sl2_orders(ctx: FieldCtx):
     q, log = ctx.q, ctx._log
     powers = (_companion_power(t, 1, ctx) for t in range(q))
     trace_orders = [k * ((q - 1) // gcd(q - 1, log[lam])) for k, lam in powers]
+    prime = ctx.n == 1
+    if prime:
+        trace_orders += trace_orders  # a + d < 2p indexes it unreduced
 
     def order(g) -> int:
         a, b, c, d = g
         if b == c == 0 and a == d:
             return 1 if a == 1 else 2
-        return trace_orders[ctx.add(a, d)]
+        return trace_orders[a + d] if prime else trace_orders[ctx.add(a, d)]
 
     return order
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -395,6 +396,74 @@ def test_trace_filter_gives_up_at_the_same_draw(monkeypatch):
         assert mg.find_binary_octahedral_subgroup(seed) == ref, seed
         outcomes["found"] += 1
     assert outcomes["raised"] and outcomes["found"]
+
+
+def test_search_witnesses_of_the_benchmark_seeds_are_pinned():
+    # generators, elements and order census of every witness for the oracle
+    # benchmark's search seeds 0-41, digested from products computed
+    # entirely by Zech logarithms; a wrong product that still closes to 48
+    # elements moves some witness, and with it the digest
+    witnesses = tuple(tuple(mg.find_binary_octahedral_subgroup(s)) for s in range(42))
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == \
+        "152b23cb91a5ac1ad12cc42628ec8f34a8bcfe94cdaa90980e5c1b8cbe311a99"
+
+
+# --- GF(p) in integers mod p against the polynomial path ------------------------------
+
+PRIMES_TO_CAP = [p for p in range(2, mg.DEFAULT_ENUM_CAP) if mg.is_prime(p)]
+
+
+def slow_mat_mul(add, mul):
+    """The 2x2 product in slow_tables arithmetic."""
+    def mat_mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return (add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
+                add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]])
+    return mat_mul
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_CAP)
+def test_prime_field_mat_mul_matches_polynomial_path(p):
+    ctx = mg.field_ctx(p, 1)
+    add, _, mul = slow_tables(ctx)
+    slow = slow_mat_mul(add, mul)
+    if p <= 3:
+        pairs = product(product(range(p), repeat=4), repeat=2)
+    else:
+        rng = random.Random(f"mat_mul:{p}")
+        pairs = [tuple(tuple(rng.randrange(p) for _ in range(4)) for _ in range(2))
+                 for _ in range(2000)]
+    for x, y in pairs:
+        assert mg.mat_mul(x, y, ctx) == slow(x, y), (x, y)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_CAP)
+def test_prime_field_companion_power_matches_polynomial_path(p):
+    ctx = mg.field_ctx(p, 1)
+    _, sub, mul = slow_tables(ctx)
+    for t, d in product(range(p), range(1, p)):
+        # U_{k+1} = t U_k - d U_{k-1} up to its first zero; C^k = -d U_{k-1} I
+        prev, cur, k = 0, 1, 1
+        while cur != 0:
+            prev, cur, k = cur, sub[mul[t][cur]][mul[d][prev]], k + 1
+        assert mg._companion_power(t, d, ctx) == (k, sub[0][mul[d][prev]]), (t, d)
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES_TO_CAP if p <= 13])
+def test_prime_field_sl2_orders_match_polynomial_path(p):
+    ctx = mg.field_ctx(p, 1)
+    add, sub, mul = slow_tables(ctx)
+    slow = slow_mat_mul(add, mul)
+    order = mg._sl2_orders(ctx)
+    sl2 = [g for g in product(range(p), repeat=4)
+           if sub[mul[g[0]][g[3]]][mul[g[1]][g[2]]] == 1]
+    assert len(sl2) == p * (p * p - 1)
+    for g in sl2:
+        acc, k = g, 1
+        while acc != (1, 0, 0, 1):
+            acc, k = slow(acc, g), k + 1
+        assert order(g) == k, g
 
 
 # --- scaling orbits against one sequence per characteristic polynomial ---------------
