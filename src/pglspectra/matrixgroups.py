@@ -3,12 +3,13 @@
 This is the independent oracle for the closed-form spectra: fields are
 built from an explicit irreducible modulus and computed in by Zech
 logarithms.  Over a prime field GF(p) an element is encoded as its residue
-mod p, and matrix products, Lucas steps and traces are computed as integers
-mod p instead.  Element orders are found by stepping in the field from one
-companion matrix per orbit of conjugacy classes under scaling by nonzero
-field elements, about q Lucas sequences for GL(2, q) and PGL(2, q); the
-linear orders of the scaled classes are read from logs.  Nothing here knows
-the q-1 / p / q+1 formulas.
+mod p, and matrix products and the SL(2, p) trace lookup are computed as
+integers mod p instead.  Element orders are found from one companion
+matrix per orbit of conjugacy classes under scaling by nonzero field
+elements, about q Lucas sequences for GL(2, q) and PGL(2, q), each stepped
+in Zech logs whatever the field; the linear orders of the scaled classes
+of GL(2, q) are read from log residues.  Nothing here knows the
+q-1 / p / q+1 formulas.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ class FieldCtx:
         self.modulus = modulus
         self.q = p**n
         self._pow_p = [p**i for i in range(n)]
-        exp, self._log, self._zech = self.tables()
-        # g^k for 0 <= k < 2(q-1): a sum of two logs indexes it unreduced
-        self._exp = exp + exp
+        exp, self._log, zech = self.tables()
+        # exp[k] = g^k and zech[k] for 0 <= k < 2(q-1): exp takes a sum of
+        # two logs unreduced, and zech a difference down to -2(q-1)
+        self._exp, self._zech = exp + exp, zech + zech
         # -1 is encoded as p - 1
         self._log_minus_one = self._log[p - 1]
 
@@ -221,20 +223,23 @@ def _companion_power(t: int, d: int, ctx: FieldCtx) -> tuple[int, int]:
 
     By Cayley-Hamilton C^k = U_k C - d U_{k-1} I, where U_0 = 0, U_1 = 1 and
     U_{k+1} = t U_k - d U_{k-1}; C is not scalar, so k is the first zero of U.
-    Over GF(p) U is stepped in integers mod p.
+    U is stepped in logs for every field, prime or extension, by its ratios
+    r_k = U_{k+1} / U_k = t - d / r_{k-1} from r_1 = t: log r_k is
+    log t + zech[log(-d/t) - log r_{k-1}], and a None there is U_{k+1} = 0.
+    Zero has no log, so t = 0 (k = 2, lam = -d) is decided first.
     """
-    minus_d = ctx.neg(d)
-    prev, cur, k = 0, 1, 1
-    if ctx.n == 1:
-        p = ctx.p
-        while cur != 0:
-            prev, cur = cur, (t * cur + minus_d * prev) % p
-            k += 1
-        return k, minus_d * prev % p
-    while cur != 0:
-        prev, cur = cur, ctx.add(ctx.mul(t, cur), ctx.mul(minus_d, prev))
+    q1, log, zech, exp = ctx.q - 1, ctx._log, ctx._zech, ctx._exp
+    minus_d = log[d] + ctx._log_minus_one
+    if t == 0:
+        return 2, exp[minus_d]
+    log_t = log[t]
+    shift = (minus_d - log_t) % q1
+    ratio, log_u, k = log_t, log_t, 2  # log r_{k-1} and log U_k
+    while (z := zech[shift - ratio]) is not None:
+        ratio = log_t + z
+        log_u += ratio
         k += 1
-    return k, ctx.mul(minus_d, prev)
+    return k + 1, exp[(minus_d + log_u) % q1]
 
 
 def _sl2_orders(ctx: FieldCtx):
@@ -278,9 +283,11 @@ def _class_orders(family: str, ctx: FieldCtx) -> set[int]:
     powers = {_companion_power(t, d, ctx) for t, d in reps}
     if family in ("PGL2", "PSL2"):
         return {1} | {k for k, _ in powers}
-    steps = range(q - 1) if family == "GL2" else (0,)  # c = g^j; SL2 takes c = 1
-    for k, lam in powers:
-        orders.update(k * ((q - 1) // gcd(q - 1, j * k + log[lam])) for j in steps)
+    # c = g^j gives log(c^k lam) = j k + log lam mod q - 1, which takes every
+    # x = log lam mod gcd(k, q - 1) and no other; SL2 takes c = 1 alone
+    steps = {k: gcd(k, q - 1) if family == "GL2" else q - 1 for k, _ in powers}
+    for k, step, r in {(k, steps[k], log[lam] % steps[k]) for k, lam in powers}:
+        orders.update(k * ((q - 1) // gcd(q - 1, x)) for x in range(r, q - 1, step))
     return orders
 
 
@@ -296,9 +303,11 @@ def omega_bruteforce(family: str, p: int, n: int,
     Every (t, d), d != 0, has one of these in its orbit: (1, d) for d != 0
     (take c = 1/t), (0, 1), or (0, g) for the primitive element g, a
     non-square, when q is odd.  So GL2 and PGL2 step about q sequences
-    instead of q^2: PGL2 takes each k, and GL2 takes k * ord(c^k lam) for
-    every c = g^j, read from logs as (q-1)/gcd(q-1, j k + log lam).  Only
-    c = +-1 keeps d = 1, so SL2 and PSL2 step (t, 1) for all t.  The
+    instead of q^2, each in Zech logs: PGL2 takes each k, and GL2 takes
+    k * ord(c^k lam) for every c = g^j, where log(c^k lam) = j k + log lam
+    runs over the residues x of log lam mod gcd(k, q-1), so ord(c^k lam) is
+    (q-1)/gcd(q-1, x) once for each.  Only c = +-1 keeps d = 1, so SL2 and
+    PSL2 step (t, 1) for all t, and SL2 reads x = log lam alone.  The
     scalars aI, with a^2 = 1 for SL2 and PSL2, have linear order ord(a) and
     projective order 1; PSL2 takes projective orders of SL(2, q).  No
     formula in q is used, so the result checks the closed forms in spectra.
@@ -309,9 +318,11 @@ def omega_bruteforce(family: str, p: int, n: int,
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = p**n
-    if q > cap:
-        raise CapExceeded(f"q={q} exceeds enumeration cap {cap}")
+    # p^n >= 2^(n (bits(p) - 1)): where that passes the cap, p^n is not
+    # built, and named p^n, since it may have too many digits to print
+    q = p**n if n * (p.bit_length() - 1) < cap.bit_length() else None
+    if q is None or q > cap:
+        raise CapExceeded(f"q={q or f'{p}^{n}'} exceeds enumeration cap {cap}")
     ctx = field_ctx(p, n)
     label = {"GL2": f"GL(2,{q})", "SL2": f"SL(2,{q})",
              "PGL2": f"PGL(2,{q})", "PSL2": f"PSL(2,{q})"}[family]

@@ -414,6 +414,8 @@ def check_pgl2_component_structure(p: int, n: int) -> Report:
     """
     if p == 2 or not is_prime(p):
         raise NotPrime(f"{p} must be an odd prime")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     q = p**n
     if q < 5:
         raise ValueError("requires p^n >= 5")

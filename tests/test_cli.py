@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,25 @@ def test_oracle_n_below_1_is_a_domain_error(capsys):
         code, out, err = run(capsys, "oracle", "pgl2", "7", n)
         assert (code, out, err) == (2, "", "error: n must be >= 1\n")
     assert run(capsys, "mu", "pgl2", "7", "0")[0] == 2
+
+
+def test_verify_pgl2_n_below_1_is_a_domain_error(capsys):
+    # checked before p^n, which is a float for n = -1, is compared with 5
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "pgl2", "7", n)
+        assert (code, out, err) == (2, "", "error: n must be >= 1\n")
+        code, doc, _ = run_json(capsys, "verify", "pgl2", "7", n)
+        assert code == 2 and doc["result"] is None
+        assert doc["diagnostics"] == ["domain error: n must be >= 1"]
+
+
+@pytest.mark.parametrize("p, n", [("7", "3000000"), ("2", "100000000")])
+def test_oracle_q_far_past_the_cap_exits_3_at_once(capsys, p, n):
+    # p^n is neither built nor printed: it has millions of digits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "pgl2", p, n)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (3, "", f"error: q={p}^{n} exceeds enumeration cap 32\n")
 
 
 @pytest.mark.parametrize("target", ["table1", "lemma1", "lemma2", "cases", "all"])

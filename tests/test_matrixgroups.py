@@ -274,6 +274,19 @@ def test_omega_bruteforce_guards():
 
 
 
+def test_omega_bruteforce_names_q_past_the_cap_without_building_it():
+    # 7^3000000 has 2.5 million digits, and (2^1279 - 1)^12, a Mersenne
+    # prime's power, more than the 4300 Python prints by default
+    with pytest.raises(CapExceeded, match=r"^q=7\^3000000 exceeds enumeration cap 32$"):
+        mg.omega_bruteforce("PGL2", 7, 3_000_000)
+    mersenne = 2**1279 - 1
+    with pytest.raises(CapExceeded, match=rf"^q={mersenne}\^12 exceeds"):
+        mg.omega_bruteforce("PGL2", mersenne, 12)
+    # a q that is built is named by its value
+    with pytest.raises(CapExceeded, match=r"^q=37 exceeds enumeration cap 32$"):
+        mg.omega_bruteforce("PGL2", 37, 1)
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 2), (7, 1)])
 def test_enumerate_sl2_in_lexicographic_order(p, n):
     ctx = mg.field_ctx(p, n)
@@ -517,5 +530,37 @@ def test_oracle_agrees_with_closed_forms_at_larger_q(p, n):
     q = p**n
     assert mg.omega_bruteforce("PGL2", p, n, cap=q).mu == sp.mu_pgl2(p, n).mu
     assert mg.omega_bruteforce("PSL2", p, n, cap=q).mu == sp.mu_psl2(p, n).mu
+    assert mg.omega_bruteforce("GL2", p, n, cap=q).mu == mu_gl2(p, n)
+    assert mg.omega_bruteforce("SL2", p, n, cap=q).mu == mu_sl2(p, n)
+
+
+# --- Lucas steps in Zech logs on extension fields --------------------------------------
+
+EXTENSION_FIELDS_TO_32 = [(p, n) for p, n in PRIME_POWERS_TO_32 if n > 1]
+
+
+@pytest.mark.parametrize("p,n", EXTENSION_FIELDS_TO_32)
+def test_extension_field_companion_power_matches_polynomial_path(p, n):
+    ctx = mg.field_ctx(p, n)
+    _, sub, mul = slow_tables(ctx)
+    for t, d in product(range(ctx.q), range(1, ctx.q)):
+        # U_{k+1} = t U_k - d U_{k-1} up to its first zero; C^k = -d U_{k-1} I
+        prev, cur, k = 0, 1, 1
+        while cur != 0:
+            prev, cur, k = cur, sub[mul[t][cur]][mul[d][prev]], k + 1
+        assert mg._companion_power(t, d, ctx) == (k, sub[0][mul[d][prev]]), (t, d)
+
+
+@pytest.mark.parametrize("p,n", [(7, 2), (2, 6), (3, 4)])
+def test_log_residues_match_every_characteristic_polynomial(p, n):
+    # q = 49, 64, 81: gcd(k, q - 1) takes many values over the orders k
+    ctx = mg.field_ctx(p, n)
+    for family in mg.FAMILIES:
+        assert mg._class_orders(family, ctx) == orders_by_char_poly(family, ctx), family
+
+
+@pytest.mark.parametrize("p,n", [(31, 2), (2, 10)])
+def test_linear_oracle_agrees_with_closed_forms_at_q_near_1000(p, n):
+    q = p**n
     assert mg.omega_bruteforce("GL2", p, n, cap=q).mu == mu_gl2(p, n)
     assert mg.omega_bruteforce("SL2", p, n, cap=q).mu == mu_sl2(p, n)
