@@ -20,6 +20,7 @@ or, where only the CLI can tell (a --cap below 1, the number of params, an
 option the command line does not read), from main or the handler: it is a
 domain error, exit 2.  A domain error or a cap or budget error (exit 3)
 goes to stderr, or with --json gives a document whose result is null.
+While main() runs, an int of any number of digits is parsed and printed.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# A list of ints is formatted _CHUNK ints to a str (_join_ints), and the
+# output is written _SLICE characters to a call (_write), so a large omega
+# is never held as one str per int, nor as one encoded copy of its text.
+_CHUNK = 4096
+_SLICE = 1 << 20
 
 # The choices of mu/omega/graph and of verify.  Each names the library
 # function it calls, looked up on its module at call time (tests and
@@ -194,6 +201,13 @@ def _call(module, entry, what: str, params: list[int], args):
     return getattr(module, name)(*params, **_read(args, what, *reads))
 
 
+def _spaced(label: str, values) -> str:
+    """label, then the values as str() gives them, joined by spaces."""
+    out = [label]
+    _join_ints(out, values, " ", str)
+    return "".join(out)
+
+
 def _cmd_ppd(args, diagnostics):
     _read(args, "ppd")
     ns = [*range(1, args.n), args.n] if args.upto else [args.n]  # the library checks n
@@ -251,9 +265,9 @@ def _cmd_mu(args, diagnostics):
 
     def lines():
         yield s.label
-        yield "mu: " + " ".join(map(str, payload["mu"]))
+        yield _spaced("mu: ", payload["mu"])
         if "omega" in payload:
-            yield "omega: " + " ".join(map(str, payload["omega"]))
+            yield _spaced("omega: ", payload["omega"])
     return payload, lines(), EXIT_OK
 
 
@@ -276,7 +290,7 @@ def _cmd_graph(args, diagnostics):
             yield payload["dot"].rstrip("\n")
             return
         yield s.label
-        yield "vertices: " + " ".join(map(str, payload["vertices"]))
+        yield _spaced("vertices: ", payload["vertices"])
         yield "edges: " + (" ".join(f"{r}~{t}" for r, t in payload["edges"]) or "(none)")
         yield f"components (t={part.t}): " + "; ".join(
             " ".join(map(str, c)) for c in payload["components"])
@@ -299,7 +313,7 @@ def _cmd_oracle(args, diagnostics):
 
     def lines():
         yield s.label
-        yield "mu: " + " ".join(map(str, payload["mu"]))
+        yield _spaced("mu: ", payload["mu"])
         if "formula_mu" in payload:
             yield (f"matches closed form {payload['formula_mu']}: "
                    f"{'yes' if payload['matches_formula'] else 'NO'}")
@@ -341,49 +355,72 @@ def _cmd_verify(args, diagnostics):
     return payload, lines(), EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _json(value, indent: str) -> str:
-    """value as the json module renders it with indent=2 and sort_keys=True,
-    nested at this indent.
+def _join_ints(out: list[str], values, sep: str, fmt) -> None:
+    """Append sep.join(map(fmt, values)) to out in pieces of at most _CHUNK
+    values, so that a str exists for _CHUNK values at a time, not for every
+    value."""
+    for i in range(0, len(values), _CHUNK):
+        if i:
+            out.append(sep)
+        out.append(sep.join(map(fmt, values[i:i + _CHUNK])))
+
+
+def _json(value, indent: str, out: list[str]) -> None:
+    """Append to out the pieces of value as the json module renders it with
+    indent=2 and sort_keys=True, nested at this indent.
 
     With an indent, json before Python 3.13 encodes in pure Python, one
     integer at a time; here a list of ints (type int exactly, so no bool)
-    is joined in C.  A leaf other than str, int, bool and None goes to
-    json.dumps, whose rendering of a leaf has no indent to differ in.
+    is joined in C, _CHUNK at a time.  A leaf other than str, int, bool and
+    None goes to json.dumps, whose rendering of a leaf has no indent to
+    differ in.
     """
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {int}:
-            body = sep.join(map(int.__repr__, value))
-        else:
-            body = sep.join(_json(v, inner) for v in value)
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (list, tuple, dict)):
+        out.append(json.dumps(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
         # json.dumps sorts the keys before it turns them into strings
-        body = sep.join(
-            encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
-            + ": " + _json(v, inner) for k, v in sorted(value.items()))
-        return f"{{\n{inner}{body}\n{indent}}}"
-    return json.dumps(value)
+        for k, v in sorted(value.items()):
+            out.append(encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)))
+            out.append(": ")
+            _json(v, inner, out)
+            out.append(sep)
+        out.pop()  # the separator after the last item
+        out.append("\n" + indent + "}")
+    else:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        if set(map(type, value)) == {int}:
+            _join_ints(out, value, sep, int.__repr__)
+        else:
+            for v in value:
+                _json(v, inner, out)
+                out.append(sep)
+            out.pop()  # the separator after the last item
+        out.append("\n" + indent + "]")
 
 
 def render_document(command: str, inputs: dict, result, diagnostics) -> str:
     """The --json document, byte for byte the json module's rendering of it
-    with indent=2 and sort_keys=True, and a newline."""
+    with indent=2 and sort_keys=True, and a newline.
+
+    The pieces are joined once, so the text is copied once, whatever its
+    nesting."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -391,7 +428,10 @@ def render_document(command: str, inputs: dict, result, diagnostics) -> str:
         "result": result,
         "diagnostics": diagnostics,
     }
-    return _json(doc, "") + "\n"
+    out: list[str] = []
+    _json(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _inputs_of(args) -> dict:
@@ -417,7 +457,14 @@ def _unknown_option(argv) -> str | None:
                 return rest[0]
 
 
-def main(argv=None) -> int:
+def _write(text: str) -> None:
+    """Write text to stdout _SLICE characters at a time, so that no encoded
+    copy of all of it is made."""
+    for i in range(0, len(text), _SLICE):
+        sys.stdout.write(text[i:i + _SLICE])
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         try:
@@ -444,7 +491,7 @@ def main(argv=None) -> int:
         resource = isinstance(exc, (CapExceeded, FactorizationIncomplete))
         if args.json:
             kind = "resource limit" if resource else "domain error"
-            sys.stdout.write(render_document(
+            _write(render_document(
                 args.command, _inputs_of(args), None, [f"{kind}: {exc}"]))
         else:
             print(f"error: {exc}", file=sys.stderr)
@@ -452,14 +499,32 @@ def main(argv=None) -> int:
     finally:  # the library's budget is left as this call found it
         numtheory.configure(**previous)
     if args.json:
-        sys.stdout.write(render_document(
-            args.command, _inputs_of(args), result, diagnostics))
+        _write(render_document(args.command, _inputs_of(args), result, diagnostics))
     else:
         for line in lines:
-            print(line)
+            _write(line)
+            sys.stdout.write("\n")
         for note in diagnostics:
             print(f"note: {note}", file=sys.stderr)
     return code
+
+
+def main(argv=None) -> int:
+    """Run one command line; the exit code is returned, not raised.
+
+    Python 3.10.7 and later limit the digits of an int parsed from or
+    formatted as a str to 4300.  The program computes such ints, as labels,
+    orders and residuals, and takes them as arguments, so main lifts the
+    limit while it runs and puts it back after.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

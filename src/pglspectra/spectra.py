@@ -10,6 +10,8 @@ so that consumers factor the pieces, not q -+ 1 whole.
 from __future__ import annotations
 
 import math
+from itertools import chain, compress
+from operator import ne
 
 from .errors import BadAction, CapExceeded, NotPrime
 from .numtheory import (Factorization, factor_pieces, is_prime, primes_below,
@@ -97,13 +99,14 @@ def omega_closure(s: Spectrum) -> list[int]:
     """The full divisor-closed spectrum omega, ascending (always contains 1).
 
     Each order's divisors come ascending, so one sort merges them as runs;
-    dict.fromkeys then drops the divisors that orders share, keeping order.
+    a divisor that orders share is then equal to the one before it, and is
+    dropped by one comparison rather than by hashing every divisor.
     """
     divs: list[int] = []
     for m in s.mu:
         divs += s.factorization(m).divisors()
     divs.sort()
-    return list(dict.fromkeys(divs))
+    return list(compress(divs, map(ne, divs, chain((0,), divs))))
 
 
 def _mu_projective(p: int, n: int, special: bool) -> Spectrum:

@@ -159,6 +159,27 @@ def test_omega_closure_matches_set_union(builder, args):
     assert sp.omega_closure(s) == omega_closure_by_set_union(s)
 
 
+def omega_by_trial_division(orders):
+    """Every divisor of every order, each found by trial division, as a sorted
+    set: a reference that shares no code with omega_closure."""
+    return sorted({d for m in orders for d in range(1, m + 1) if m % d == 0})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=6))
+def test_omega_closure_matches_trial_division_on_shared_divisors(factors):
+    # the products of neighbours share divisors, as 6, 10 and 15 share 2, 3 and 5
+    orders = {a * b for a, b in zip(factors, factors[1:] + factors[:1])}
+    s = sp.maximal_elements(orders)
+    assert sp.omega_closure(s) == omega_by_trial_division(s.mu)
+
+
+def test_omega_closure_of_an_antichain_sharing_every_prime():
+    s = sp.maximal_elements({6, 10, 15})
+    assert s.mu == {6, 10, 15}
+    assert sp.omega_closure(s) == omega_by_trial_division(s.mu) == [1, 2, 3, 5, 6, 10, 15]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sets(st.integers(min_value=1, max_value=400), min_size=1, max_size=12))
 def test_mu_omega_round_trip(orders):
