@@ -847,3 +847,190 @@ def test_factor_matches_sympy_on_seeded_products():
     for k in (2, 3) * 10:
         n = math.prod(sympy.prevprime(rng.randrange(3, 10**8)) for _ in range(k))
         assert nt.factor(n).as_dict() == sympy.factorint(n), n
+
+
+# --- trial division of a congruence class by one gcd ----------------------------------
+
+# the paper's primes a = 2^x 3^y + 1 up to 257
+PAPER_BASES = (2, 3, 5, 7, 13, 17, 19, 37, 73, 97, 109, 163, 193, 257)
+
+
+def walk_all_primes(n: int) -> tuple[dict[int, int], int]:
+    """n trial divided by every prime below TRIAL_BOUND: (prime counts, what is left)."""
+    counts: dict[int, int] = {}
+    for r in nt.primes_below(nt.TRIAL_BOUND):
+        while n % r == 0:
+            counts[r] = counts.get(r, 0) + 1
+            n //= r
+    return counts, n
+
+
+def assert_trial_division_is_the_walk(n: int) -> None:
+    # under budget 0 factor() is trial division, then a primality and a
+    # perfect-power verdict on what is left
+    f = nt.factor(n)
+    counts, left = walk_all_primes(int(n))
+    bound = nt.TRIAL_BOUND
+    assert {p: e for p, e in f.factors if p < bound} == counts, n
+    assert math.prod(p**e for p, e in f.factors if p >= bound) * f.cofactor == left, n
+    if left < bound * bound:
+        assert f.complete and (left == 1 or left in f.as_dict()), n
+
+
+def test_factor_budget_0_is_the_walk_on_paper_pieces(limits):
+    limits(budget=0)
+    for a in PAPER_BASES:
+        for d in range(1, 121):
+            assert_trial_division_is_the_walk(nt._cyclotomic_pieces(a, d)[d])
+
+
+def test_factor_budget_0_is_the_walk_on_wieferich_squares(limits):
+    # 1093^2 divides Phi_364(2) and 3511^2 divides Phi_1755(2): the gcd holds
+    # each prime once, and factor() divides it out to its multiplicity
+    limits(budget=0)
+    for d, s in ((364, 1093), (1755, 3511)):
+        piece = nt._cyclotomic_pieces(2, d)[d]
+        assert piece % (s * s) == 0
+        assert nt.factor(piece).as_dict()[s] == 2
+        assert_trial_division_is_the_walk(piece)
+
+
+def test_factor_budget_0_is_the_walk_around_the_square_of_the_bound(limits):
+    # r * s is what is left after the primes of k: just below the bound's
+    # square it is walked, just above it it takes the gcd route
+    sympy = pytest.importorskip("sympy")
+    limits(budget=0)
+    bound = nt.TRIAL_BOUND
+    for k in (5, 12, 13, 60, 364):
+        e = math.lcm(2, k)
+        r = max(t for t in nt._trial_primes(e) if t < bound // 2)
+        edge = (bound * bound - 1) // r  # s * r < bound^2 iff s <= edge
+        edge -= (edge - 1) % e  # the largest candidate 1 (mod e) up to it
+        below = next(s for s in range(edge, 0, -e) if sympy.isprime(s))
+        above = next(s for s in range(edge + e, 10 * edge, e) if sympy.isprime(s))
+        assert below * r < bound * bound < above * r
+        for s in (below, above):
+            for n in (r * s, k * k * r * s, k * r * r * s):
+                assert_trial_division_is_the_walk(nt._Congruent(n, k))
+                assert nt.factor(nt._Congruent(n, k)).as_dict() == sympy.factorint(n)
+
+
+# --- rho: the walk of the parent, two steps to a product -------------------------------
+
+def rho_one_step_a_product(n, rng, budget, e):
+    """The Brent rho walk with one factor |x - y| taken into q per step,
+    each y reduced mod n: the oracle for _pollard_rho_brent's (factor, cost)."""
+    y = rng.randrange(1, n)
+    c = rng.randrange(1, n)
+    step = e.bit_length() + e.bit_count() - 2
+    m = 128
+    g = r = q = 1
+    used = 0
+    x = ys = y
+    while g == 1:
+        x = y
+        if e == 2:
+            for _ in range(r):
+                y = (y * y + c) % n
+        else:
+            for _ in range(r):
+                y = (pow(y, e, n) + c) % n
+        used += r * step
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            if e == 2:
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+            else:
+                for _ in range(min(m, r - k)):
+                    y = (pow(y, e, n) + c) % n
+                    q = q * abs(x - y) % n
+            g = math.gcd(q, n)
+            k += m
+        used += min(r, k) * step
+        r *= 2
+        if used > budget:
+            return None, used
+    if g == n:
+        while True:
+            ys = (pow(ys, e, n) + c) % n
+            used += step
+            g = math.gcd(abs(x - ys), n)
+            if g > 1:
+                break
+            if used > budget:
+                return None, used
+    return (g, used) if g != n else (None, used)
+
+
+def assert_rho_is_the_oracle(n, budget, e):
+    for seed in range(3):
+        got = nt._pollard_rho_brent(n, random.Random(f"{seed}:{n}"), budget, e)
+        want = rho_one_step_a_product(n, random.Random(f"{seed}:{n}"), budget, e)
+        assert got == want, (n, e, seed)
+
+
+@pytest.mark.parametrize("e", [2, 4, 12, 46])
+def test_rho_pairs_steps_and_charges_as_the_oracle(e):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(e)
+    for sizes in ((16, 16), (24, 24), (20, 100), (28, 60)):
+        ps = []
+        for bits in sizes:
+            p = 0
+            while not sympy.isprime(p):
+                p = rng.randrange(2**(bits - 1), 2**bits) // e * e + 1
+            ps.append(p)
+        assert_rho_is_the_oracle(ps[0] * ps[1], 10**6, e)
+
+
+@pytest.mark.parametrize("n, e", [(10019, 2), (10147, 2), (11461, 12), (13019, 46)])
+def test_rho_replay_after_the_batched_gcd_overshot(n, e):
+    # at seed "0:n" the block's gcd is n itself, so the walk is replayed one
+    # step at a time; at 13019 the replay meets n again and gives up
+    assert_rho_is_the_oracle(n, 10**6, e)
+    assert nt._pollard_rho_brent(n, random.Random(f"0:{n}"), 10**6, e)[0] != n
+
+
+@pytest.mark.parametrize("n, e", [(3239, 2), (4453, 12)])
+def test_rho_splits_in_the_first_block_of_one_step(n, e):
+    # r = 1 takes one step, an odd one out of the pairs
+    assert nt._pollard_rho_brent(n, random.Random(f"0:{n}"), 10**6, e)[1] == 2 * (
+        e.bit_length() + e.bit_count() - 2)
+    assert_rho_is_the_oracle(n, 10**6, e)
+
+
+def test_rho_budget_exit_as_the_oracle():
+    # a 10^30 semiprime at budget 500, and the stripped Phi_23(37) without
+    # its 47 on x -> x^46 + c at budget 20000: neither splits
+    assert_rho_is_the_oracle(HARD_P1 * HARD_P2, 500, 2)
+    assert_rho_is_the_oracle(1845029930335901 * 375176717285846681, 20000, 46)
+    got = nt._pollard_rho_brent(HARD_P1 * HARD_P2, random.Random("0"), 500, 2)
+    assert got[0] is None and got[1] > 500
+
+
+# --- perfect powers ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [4, 6, 12, 30])
+def test_perfect_power_roots_match_sympy(k):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(k)
+    bases = [2, 3, 10, 99991, 2**64 + 13, 10**40 + 7, rng.getrandbits(300) | 1]
+    for b in bases:
+        n = b**k
+        for r in nt.primes_below(k + 20):
+            for v in (n - 1, n, n + 1):
+                assert nt._iroot(v, r) == sympy.integer_nthroot(v, r)[0], (b, k, r)
+        root, r = nt._as_perfect_power(n, n.bit_length())
+        assert r == min(sympy.primefactors(k)) and root**r == n, (b, k)
+        for v in (n - 1, n + 1):
+            found = nt._as_perfect_power(v, v.bit_length())
+            assert (found is None) == (sympy.perfect_power(v) is False), (b, k, v)
+
+
+def test_prime_power_takes_composite_exponents():
+    for q, n in ((3, 12), (7, 30), (2, 4), (99991, 6)):
+        assert nt._prime_power(q**n) == (q, n)
+    assert nt._prime_power(6**4) is None
