@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pglspectra import cli
+from pglspectra import cli, matrixgroups
 from pglspectra import numtheory as nt
 from pglspectra import spectra, verify
 
@@ -817,3 +821,52 @@ assert not loaded, loaded
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    stdout=subprocess.DEVNULL)
+
+
+# --- every command line of the grammar, drawn ------------------------------------------
+
+# Each subcommand with the words that choose a family or target, and how many
+# ints follow them.  Ints past 4300 digits have their own tests above.
+COMMAND_SHAPES = (
+    (("ppd",), 2), (("ppd-above",), 3), (("factor",), 1), (("catalan",), 1),
+    *(((command, family), len(names.split()))
+      for command in ("mu", "omega", "graph")
+      for family, (_, names, _) in cli._SPECTRUM_FAMILIES.items()
+      if (command, family) != ("graph", "f4psi")),
+    *((("oracle", family.lower()), 2) for family in matrixgroups.FAMILIES),
+    *((("verify", target), len(names.split()))
+      for target, (_, names, _) in cli._VERIFY_TARGETS.items()),
+)
+SMALL_INTS = st.integers(-2, 49)
+
+
+@st.composite
+def command_lines(draw):
+    words, arity = draw(st.sampled_from(COMMAND_SHAPES))
+    argv = ["--budget", str(draw(st.integers(0, 10**4)))]
+    if draw(st.booleans()):
+        argv.insert(0, "--json")
+    if draw(st.booleans()):
+        argv += ["--cap", str(draw(st.integers(-1, 64)))]
+    argv += [*words, *(str(draw(SMALL_INTS)) for _ in range(arity))]
+    flags = {"ppd": ("--upto",), "graph": ("--dot",)}.get(words[0], ())
+    argv += [flag for flag in flags if draw(st.booleans())]
+    if words[0] == "verify":
+        for option in ("--nmax", "--bound"):
+            if draw(st.booleans()):
+                argv += [option, str(draw(SMALL_INTS))]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+def test_every_drawn_command_line_ends_in_a_documented_exit(argv):
+    # 0, 2 or 3, and 1 only as a verify or oracle verdict; nothing escapes
+    # main, and under --json stdout is one document
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    command = next(w for w in argv if w[0].isalpha())
+    assert code in (0, 2, 3) or (code == 1 and command in ("verify", "oracle")), argv
+    if "--json" in argv:
+        json.loads(out.getvalue())

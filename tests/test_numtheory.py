@@ -1,9 +1,10 @@
+import functools
 import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pglspectra import numtheory as nt
@@ -913,6 +914,48 @@ def test_factor_budget_0_is_the_walk_around_the_square_of_the_bound(limits):
             for n in (r * s, k * k * r * s, k * r * r * s):
                 assert_trial_division_is_the_walk(nt._Congruent(n, k))
                 assert nt.factor(nt._Congruent(n, k)).as_dict() == sympy.factorint(n)
+
+
+@functools.lru_cache(maxsize=None)
+def class_primes(e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The primes 1 (mod e) below TRIAL_BOUND, and the first 51 above it."""
+    sympy = pytest.importorskip("sympy")
+    above = []
+    s = nt.TRIAL_BOUND // e * e + 1
+    while len(above) < 51:
+        if s > nt.TRIAL_BOUND and sympy.isprime(s):
+            above.append(s)
+        s += e
+    return tuple(nt._trial_primes(e)), tuple(above)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 400).filter(lambda k: math.lcm(2, k) > 10),
+       st.lists(st.integers(0, 10**4), max_size=6),
+       st.lists(st.integers(0, 10), max_size=3),
+       st.none() | st.integers(0, 50))
+@example(12, [0, 1], [0], None)  # 2 * 13 * 37, below the bound's square
+@example(12, [10, 200, 2000], [], None)  # the second walk stops at 83137
+@example(12, [5, 2000, 2000], [], None)  # 109 * 83137^2
+@example(12, [2000, 2001], [1], 0)  # 3 * 83137 * 83221 * 100057
+def test_factor_class_route_on_drawn_products(k, picks, k_picks, big):
+    # v is a multiset of primes 1 (mod e) below the bound, some primes of k
+    # and at most one prime 1 (mod e) above the bound.  Past the bound's
+    # square the gcd route divides the primes of the gcd out of v, and may
+    # stop at the last of them with exactly that prime left
+    sympy = pytest.importorskip("sympy")
+    below, above = class_primes(math.lcm(2, k))
+    primes_of_k = sympy.primefactors(k)
+    v = math.prod(below[i % len(below)] for i in picks)
+    v *= math.prod(primes_of_k[i % len(primes_of_k)] for i in k_picks)
+    if big is not None:
+        v *= above[big]
+    previous = nt.configure(budget=0)
+    try:
+        f = nt.factor(nt._Congruent(v, k))
+    finally:
+        nt.configure(**previous)
+    assert f.complete and f.as_dict() == sympy.factorint(v), (k, v)
 
 
 # --- rho: the walk of the parent, two steps to a product -------------------------------
