@@ -7,7 +7,8 @@ machine-readable document with a stable schema:
      "diagnostics": [...]}
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
-3 enumeration cap or factoring budget exhausted.
+3 enumeration cap or factoring budget exhausted, also for a verify run
+whose only failed checks are ones the budget left incomplete.
 
 Each command's handler, _cmd_<command>(args, diagnostics), set as its
 subparser's default, appends its notes to diagnostics and returns (result,
@@ -88,9 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable document")
     parser.add_argument("--budget", type=int, default=numtheory.DEFAULT_RHO_BUDGET,
-                        help="Pollard rho budget per cofactor, in "
-                             "multiplications mod the cofactor; it decides "
-                             "what completes (default %(default)s)")
+                        help="Pollard p-1 and rho budget per cofactor, in "
+                             "multiplications mod the cofactor; one p-1 "
+                             "attempt counts about 22.6k and runs only if "
+                             "that fits; it decides what completes "
+                             "(default %(default)s)")
     parser.add_argument("--cap", type=int,
                         help="size cap: n for sym/alt, m*n for metacyclic, "
                              "q for oracle; other choices reject it")
@@ -338,9 +341,17 @@ def _cmd_verify(args, diagnostics):
                     args.params, args)
     if not isinstance(reports, list):  # verify_all alone gives several
         reports = [reports]
-    ok = all(r.ok for r in reports)
+    failed = [it for r in reports for it in r.items if not it.passed]
+    ok = not failed
     counts = sum(len(r.items) for r in reports)
-    passed = sum(1 for r in reports for it in r.items if it.passed)
+    passed = counts - len(failed)
+    if ok:
+        code = EXIT_OK
+    elif all(isinstance(it, verify.IncompleteCheck) for it in failed):
+        diagnostics.append(f"factoring budget exhausted; {len(failed)} checks incomplete")
+        code = EXIT_RESOURCE
+    else:
+        code = EXIT_VERIFY_FAILED
     errata = sum(len(r.errata) for r in reports)
     payload = {"reports": [r.to_payload() for r in reports], "ok": ok,
                "checks": counts, "passed": passed, "errata": errata}
@@ -352,7 +363,7 @@ def _cmd_verify(args, diagnostics):
         if errata:
             summary += f"; {errata} documented errata reported"
         yield summary
-    return payload, lines(), EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return payload, lines(), code
 
 
 def _join_ints(out: list[str], values, sep: str, fmt) -> None:

@@ -36,10 +36,22 @@ gcd, is the one loop _divide_out.  Rho iterates x -> x^e + c
 mod such a prime, so the walk lives on about s/e values and its expected
 length falls by about sqrt(e).  Each step costs the roughly log2(e)
 multiplications of pow(x, e, n), and the rho budget charges them.
+
+Where rho would walk x -> x^2 + c on a cofactor of at least P1_MIN_BITS
+bits, Pollard's p - 1 (Proc. Camb. Phil. Soc. 76, 1974) goes first.  It
+finds each prime s with s - 1 a product of prime powers up to P1_BOUND
+and at most one more prime below TRIAL_BOUND.  Stage 1 is one
+pow(3, lcm(1..P1_BOUND), n), which runs in C; stage 2 walks trial
+division's primes above P1_BOUND, stepping x^r from one prime to the next
+by a table of x^gap.  The budget charges it about 22.6k multiplications
+(_pm1_plan), which rho's expected charge on a balanced split, about
+n^(1/4), reaches at about P1_MIN_BITS bits.  Pieces with e > 2 keep
+x -> x^e + c alone.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import random
@@ -49,16 +61,22 @@ from itertools import compress
 from .errors import FactorizationIncomplete, NotCoprime
 from .records import FrozenRecord
 
-# The trial bound is fixed; configure() alone sets the rho budget that
-# factor() uses, and cli.main sets it for one invocation.
+# The trial bound is fixed; configure() alone sets the budget for p - 1
+# and rho that factor() uses, and cli.main sets it for one invocation.
 TRIAL_BOUND = 10**5
 DEFAULT_RHO_BUDGET = 10**7
+# Pollard p - 1: stage 1 takes every prime power up to P1_BOUND, and only a
+# cofactor of at least P1_MIN_BITS bits is tried.  _P1_MAX_GAP is the widest
+# gap between primes below TRIAL_BOUND (31397 to 31469), which stage 2 steps.
+P1_BOUND = 3000
+P1_MIN_BITS = 56
+_P1_MAX_GAP = 72
 
 _rho_budget = DEFAULT_RHO_BUDGET
 
 
 def configure(*, budget: int | None = None) -> dict[str, int]:
-    """Set the process-wide rho budget; None keeps the current one.
+    """Set the process-wide p - 1 and rho budget; None keeps the current one.
 
     The only setter of the limit factor() reads at each call; it stays
     until the next call.  A budget below 0 is rejected and changes nothing;
@@ -421,6 +439,62 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int,
     return (g, used) if g != n else (None, used)
 
 
+@functools.cache
+def _pm1_plan() -> tuple[int, int, int]:
+    """(E, start, charge) for _pollard_pm1, built once.
+
+    E = lcm(1..P1_BOUND), the product of the largest power up to P1_BOUND of
+    each prime below it, about 4.3 kbit.  start is the index in
+    primes_below(TRIAL_BOUND) of the first prime above P1_BOUND, where
+    stage 2 begins.  charge is what the budget counts for one attempt:
+    a squaring per bit of E and 2 multiplications per stage-2 prime.
+    """
+    primes = primes_below(TRIAL_BOUND)
+    start = bisect.bisect(primes, P1_BOUND)
+    exponent = 1
+    for p in primes[:start]:
+        power = p
+        while power * p <= P1_BOUND:
+            power *= p
+        exponent *= power
+    return exponent, start, exponent.bit_length() + 2 * (len(primes) - start)
+
+
+def _pollard_pm1(n: int) -> int | None:
+    """A proper factor of odd composite n by Pollard's p - 1, or None.
+
+    Stage 1: x = 3^E mod n, E = lcm(1..P1_BOUND), and gcd(x - 1, n) holds
+    every prime s of n with s - 1 | E.  Stage 2 goes over the primes r of
+    primes_below(TRIAL_BOUND) above P1_BOUND, ascending.  x^r steps to the
+    next prime's power by one multiplication with x^gap, read from a table
+    of the even gaps, and x^r - 1 is multiplied into one product, whose gcd
+    with n is taken every 1024 primes.  That catches each s with
+    s - 1 | E * r.  A gcd equal to n gives None: the caller's rho splits n.
+    """
+    exponent, start, _ = _pm1_plan()
+    x = pow(3, exponent, n)
+    g = math.gcd(x - 1, n)
+    if g != 1:
+        return g if g != n else None
+    primes = primes_below(TRIAL_BOUND)
+    x2 = x * x % n
+    power = [1] * (_P1_MAX_GAP + 1)  # power[d] = x^d for even d
+    for d in range(2, _P1_MAX_GAP + 1, 2):
+        power[d] = power[d - 2] * x2 % n
+    prev = primes[start]
+    y = pow(x, prev, n)
+    q = y - 1
+    for i in range(start + 1, len(primes), 1024):
+        for r in primes[i:i + 1024]:
+            y = y * power[r - prev] % n
+            q = q * (y - 1) % n
+            prev = r
+        g = math.gcd(q, n)
+        if g != 1:
+            return g if g != n else None
+    return None
+
+
 def _iroot(n: int, r: int) -> int:
     """floor(n^(1/r)) for n >= 1 and r >= 2, by integer Newton steps.
 
@@ -470,13 +544,15 @@ def _factorization(n: int, counts: Counter[int], probable: set[int],
 
 
 def factor(n: int) -> Factorization:
-    """Factor n >= 1: trial division below TRIAL_BOUND, then Brent/Pollard rho.
+    """Factor n >= 1: trial division below TRIAL_BOUND, then p - 1 and Brent/Pollard rho.
 
     Never raises on hard input: if the per-cofactor budget runs out, the
     partial result is returned with complete=False and the unfactored
     cofactor recorded.  The budget counts multiplications mod the cofactor:
     one per step of x -> x^2 + c, and as many per step of x -> x^e + c as
-    pow(x, e, n) takes, so it bounds the time spent whatever e is.
+    pow(x, e, n) takes, so it bounds the time spent whatever e is.  Pollard
+    p - 1 is charged to the same budget: one squaring per bit of its
+    stage-1 exponent and 2 multiplications per stage-2 prime, about 22.6k.
 
     The trial bound is the constant TRIAL_BOUND.  When n is a
     _Congruent with modulus k (see the module docstring), every prime of n
@@ -497,10 +573,13 @@ def factor(n: int) -> Factorization:
     a perfect power b^k if it is one, where b >= bound > 2^16 bounds k by
     its bit length over 16, and split by rho on x -> x^e + c otherwise.
     Without a congruence e = 2: all primes below the bound and
-    x -> x^2 + c, and always the walk.  The budget is configure()'s, and
-    it alone decides what completes: each cofactor's rho walk is seeded by
-    the cofactor, so the same (n, modulus, budget) always gives the same
-    result.
+    x -> x^2 + c, and always the walk.  When e = 2 and the cofactor has at
+    least P1_MIN_BITS bits, Pollard p - 1 (_pollard_pm1) runs before rho
+    if its whole charge fits in the cofactor's budget; rho gets what is
+    left.  A piece with e > 2 goes to x -> x^e + c alone.  The budget is
+    configure()'s, and it alone decides what completes: p - 1 always
+    starts from 3 and each cofactor's rho walk is seeded by the cofactor,
+    so the same (n, modulus, budget) always gives the same result.
     """
     if n < 1:
         raise ValueError("factor requires n >= 1")
@@ -545,16 +624,20 @@ def factor(n: int) -> Factorization:
         if power is not None:
             settle(power[0], mult * power[1])
             return
+        left = budget
+        d = None
+        if e == 2 and c.bit_length() >= P1_MIN_BITS and (charge := _pm1_plan()[2]) <= left:
+            left -= charge
+            d = _pollard_pm1(c)
         # another string is another walk: it changes what a small budget factors
         rng = random.Random(f"0:{c}")
-        left = budget
-        while left > 0:
+        while d is None and left > 0:
             d, used = _pollard_rho_brent(c, rng, left, e)
             left -= used
-            if d is not None:
-                settle(d, mult)
-                settle(c // d, mult)
-                return
+        if d is not None:
+            settle(d, mult)
+            settle(c // d, mult)
+            return
         cofactor *= c**mult
 
     settle(m, 1)

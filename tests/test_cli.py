@@ -68,6 +68,17 @@ def test_factor_text(capsys):
     assert "2^5*3^2*5*13*37*41" in out
 
 
+def test_factor_by_p_minus_1_within_the_budget(capsys, monkeypatch):
+    # 632814148699 - 1 = 2*3*67*193*229*35617: p - 1 splits the 80-bit product
+    # within budget 40000; below its charge rho alone does not
+    n = "1274495412331289495806801"
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+    assert run(capsys, "--budget", "40000", "factor", n) == (
+        0, f"{n} = 632814148699*2014012194499\n", "")
+    code, doc, _ = run_json(capsys, "--budget", "20000", "factor", n)
+    assert code == 3 and doc["result"]["cofactor"] == int(n)
+
+
 def test_mu_families(capsys):
     code, out, _ = run(capsys, "mu", "pgl2", "7", "1")
     assert code == 0 and "6 7 8" in out
@@ -133,6 +144,26 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "table1")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_failed_only_by_the_budget_exits_3(capsys, monkeypatch):
+    # at budget 2804 four table1 cells stay unfactored, and nothing disagrees:
+    # a resource limit, as for `--budget 2804 ppd 13 19`
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+    code, out, err = run(capsys, "--budget", "2804", "verify", "table1")
+    assert code == 3
+    assert out.splitlines()[-1] == "51/55 checks passed"
+    assert err == "note: factoring budget exhausted; 4 checks incomplete\n"
+    assert run(capsys, "--budget", "2804", "ppd", "13", "19")[0] == 3
+    code, doc, _ = run_json(capsys, "--budget", "2804", "verify", "all")
+    assert code == 3
+    assert doc["result"]["ok"] is False and doc["result"]["passed"] == doc["result"]["checks"] - 4
+    assert doc["diagnostics"] == ["factoring budget exhausted; 4 checks incomplete"]
+    # a check that disagrees next to the incomplete ones is a failed verification
+    monkeypatch.setitem(verify.PPD_TABLE, (13, 3), frozenset({23}))
+    code, _, err = run(capsys, "--budget", "2804", "verify", "table1")
+    assert code == 1
+    assert err == ""
 
 
 # --- usage and domain errors --------------------------------------------------------

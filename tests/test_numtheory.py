@@ -1,10 +1,11 @@
+import collections
 import functools
 import itertools
 import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pglspectra import numtheory as nt
@@ -1052,6 +1053,170 @@ def test_rho_budget_exit_as_the_oracle():
     assert_rho_is_the_oracle(1845029930335901 * 375176717285846681, 20000, 46)
     got = nt._pollard_rho_brent(HARD_P1 * HARD_P2, random.Random("0"), 500, 2)
     assert got[0] is None and got[1] > 500
+
+
+# --- Pollard p - 1 ahead of rho on x^2 + c ----------------------------------------------
+
+# 632814148699 - 1 = 2*3*67*193*229*35617: stage 2 finds it at 35617
+PM1_STAGE2 = 632814148699 * 2014012194499
+
+
+def test_pm1_plan_is_lcm_of_one_to_the_bound_and_its_charge():
+    exponent, start, charge = nt._pm1_plan()
+    assert exponent == math.lcm(*range(1, nt.P1_BOUND + 1))
+    stage2 = nt.primes_below(nt.TRIAL_BOUND)[start:]
+    assert stage2[0] > nt.P1_BOUND and nt.primes_below(nt.TRIAL_BOUND)[start - 1] <= nt.P1_BOUND
+    assert max(b - a for a, b in zip(stage2, stage2[1:])) == nt._P1_MAX_GAP
+    assert charge == exponent.bit_length() + 2 * len(stage2) == 22654
+
+
+def test_pm1_stage_1_takes_each_prime_to_its_top_power():
+    # 120833 - 1 = 2^11 * 59, and 3 is not a square mod 120833, so its order
+    # needs 2^11, the top power of 2 up to P1_BOUND; 2014012194499 - 1 has
+    # the prime 7922507
+    assert nt._pollard_pm1(120833 * 2014012194499) == 120833
+    assert nt._pollard_pm1(PM1_STAGE2) == 632814148699
+
+
+def test_pm1_only_where_rho_walks_x_squared_plus_c(monkeypatch):
+    # the 58-bit Phi_37(3) as a piece of modulus 37 goes to x^74 + c alone,
+    # and as a plain number or a piece of modulus 2 to p - 1 first
+    tried = []
+    monkeypatch.setattr(nt, "_pollard_pm1", lambda c: tried.append(c))
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+    n = 13097927 * 17189128703
+    for k in (37, 74):
+        assert nt.factor(nt._Congruent(n, k)).as_dict() == {13097927: 1, 17189128703: 1}
+    assert tried == []
+    for value in (n, nt._Congruent(n, 2)):
+        assert nt.factor(value).complete
+    assert tried == [n, n]
+    # below P1_MIN_BITS rho alone, though both p - 1 divide E
+    assert (106696591 * 203693491).bit_length() == nt.P1_MIN_BITS - 1
+    assert nt.factor(106696591 * 203693491).as_dict() == {106696591: 1, 203693491: 1}
+    assert tried == [n, n]
+
+
+def test_pm1_runs_only_where_its_whole_charge_fits(monkeypatch, limits):
+    # rho alone needs far more than the charge for a 40-bit prime
+    charge = nt._pm1_plan()[2]
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+    limits(budget=charge)
+    assert nt.factor(PM1_STAGE2).as_dict() == {632814148699: 1, 2014012194499: 1}
+    limits(budget=charge - 1)
+    f = nt.factor(PM1_STAGE2)
+    assert not f.complete and f.cofactor == PM1_STAGE2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(nt.primes_below(nt.P1_BOUND + 1)),
+                min_size=1, max_size=4, unique=True),
+       st.none() | st.sampled_from(nt.primes_below(nt.TRIAL_BOUND)).filter(
+           lambda r: r > nt.P1_BOUND),
+       st.integers(0, 24), st.randoms(use_true_random=False))
+def test_pm1_splits_where_p_minus_1_is_smooth_but_for_one_prime(smooth, r, extra, rnd):
+    # p - 1 divides E * r, E = lcm(1..P1_BOUND), r a stage-2 prime or none;
+    # q - 1 has a prime above TRIAL_BOUND, so p - 1 finds p alone
+    sympy = pytest.importorskip("sympy")
+    exponent = nt._pm1_plan()[0]
+    big = r or 1
+    m = 2 * big * math.prod(smooth)
+    p = next((m * t + 1 for t in range(1, 10**4)
+              if m * t + 1 > nt.TRIAL_BOUND and exponent * big % (m * t) == 0
+              and sympy.isprime(m * t + 1)), None)
+    assume(p is not None)
+    bits = max(nt.P1_MIN_BITS + 1 - p.bit_length(), 24) + extra
+    q = p
+    while q == p or max(sympy.primefactors(q - 1)) < nt.TRIAL_BOUND:
+        q = sympy.nextprime(rnd.randrange(2 ** (bits - 1), 2**bits))
+    n = p * q
+    assert n.bit_length() >= nt.P1_MIN_BITS
+    assert nt._pollard_pm1(n) == p
+    assert nt.factor(n).as_dict() == sympy.factorint(n)
+
+
+@pytest.mark.parametrize("p, q", [
+    (2454021571, 2677114441),  # p - 1 and q - 1 both divide E: stage 1
+    (4506391891, 9012783781),  # both divide E * 50021: one stage-2 block
+])
+def test_pm1_gcd_equal_to_the_cofactor_falls_back_to_rho(monkeypatch, p, q):
+    walks = []
+    rho = nt._pollard_rho_brent
+
+    def counted(*args):
+        walks.append(args[0])
+        return rho(*args)
+
+    monkeypatch.setattr(nt, "_pollard_rho_brent", counted)
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+    assert nt._pollard_pm1(p * q) is None
+    f = nt.factor(p * q)
+    assert f.complete and f.as_dict() == {p: 1, q: 1}
+    assert walks and set(walks) == {p * q}
+
+
+def factor_rho_only(n: int, budget: int) -> nt.Factorization:
+    """factor() of a plain n >= 1 with rho alone: every prime below TRIAL_BOUND
+    walked out, then each cofactor a prime, a perfect power, or split by
+    rho on x -> x^2 + c seeded by the cofactor under its own budget."""
+    found, rest = walk_all_primes(n)
+    counts = collections.Counter(found)
+    probable: set[int] = set()
+    stuck = 1
+
+    def settle(c: int, mult: int) -> None:
+        nonlocal stuck
+        if c == 1:
+            return
+        verdict = nt.primality(c)
+        if verdict.prime:
+            counts[c] += mult
+            if verdict.probabilistic:
+                probable.add(c)
+            return
+        power = nt._as_perfect_power(c, c.bit_length() // 16)
+        if power is not None:
+            settle(power[0], mult * power[1])
+            return
+        rng = random.Random(f"0:{c}")
+        left = budget
+        while left > 0:
+            d, used = nt._pollard_rho_brent(c, rng, left, 2)
+            left -= used
+            if d is not None:
+                settle(d, mult)
+                settle(c // d, mult)
+                return
+        stuck *= c**mult
+
+    settle(rest, 1)
+    return nt.Factorization(n, tuple(sorted(counts.items())), stuck == 1, stuck,
+                            tuple(sorted(probable)))
+
+
+@pytest.mark.parametrize("budget", [0, 200, 500, 2000, 4000])
+def test_budgets_below_the_pm1_charge_are_rho_alone(monkeypatch, limits, budget):
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+    limits(budget=budget)
+    for n in (PM1_STAGE2, 2454021571 * 2677114441, 4506391891 * 9012783781,
+              HARD_P1 * HARD_P2, 13097927 * 17189128703, 200000033 * 500000003,
+              2**4 * 3 * 10000019 * 30000001, 1000003 * 10000019 * 100000007,
+              97**24 + 1, 2**89 - 1, (2**61 - 1) * 1000000007**2):
+        assert nt.factor(n) == factor_rho_only(n, budget), n
+
+
+@pytest.mark.parametrize("n", [22998271 * 3535855212619, 15792433 * 1074942191647])
+def test_rho_gets_what_p_minus_1_leaves(monkeypatch, limits, n):
+    # p - 1 finds neither prime, and rho alone splits n within charge + 4000
+    # multiplications but not within 4000
+    charge = nt._pm1_plan()[2]
+    assert nt._pollard_pm1(n) is None
+    assert not factor_rho_only(n, 4000).complete
+    assert factor_rho_only(n, charge + 4000).complete
+    for budget in (charge, charge + 4000, 2 * charge + 4000):
+        monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+        limits(budget=budget)
+        assert nt.factor(n) == factor_rho_only(n, budget - charge), budget
 
 
 # --- perfect powers ----------------------------------------------------------------------
