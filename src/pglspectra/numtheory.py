@@ -16,26 +16,41 @@ that core:
 Every Phi_d(a) comes from one routine, _cyclotomic_pieces, by the same
 identity read upwards: taking the d | m ascending, Phi_d(a) is a^d - 1
 divided exactly by the Phi_e(a) already found for e | d, e < d.  It gives
-cyclotomic_value, and q_pm_1_pieces, the pieces Phi_d(p) of q -+ 1 that
-the spectra closed forms record and factor_pieces factors one by one.
+cyclotomic_value, and the one model of the closed-form orders,
+cyclotomic_product_pieces: a product of Phi_m(q), q = p^n, over a set of
+indices m is the product of the Phi_d(p) with d / gcd(d, n) in that set.
+q_pm_1_pieces is its case m in {1, 2}.  The spectra closed forms record
+those pieces, and factor_pieces factors them one by one.
 
 Every prime s of Phi_d(a) divides d or is 1 (mod d): if s does not divide
 d, then a has order exactly d mod s, so d | s - 1.  factor() uses that
 congruence when the number comes as a _Congruent, which only this module
-builds, next to the proof: the pieces of _cyclotomic_pieces and
-q_pm_1_pieces, and the stripped Phi_n(a) of primitive_prime_divisors.
+builds, next to the proof: the pieces of _cyclotomic_pieces, and so of
+the model, and the stripped Phi_n(a) of primitive_prime_divisors.
 With e = lcm(2, k) every prime not dividing k is odd and 1 (mod e), so
 trial division needs only the primes of k and the primes r = 1 (mod e),
-read from one sieve.  A cofactor of at least the bound's square is not
-walked over that class: one gcd with the product of the class's primes,
-built once per e and cached, holds every one of them that divides it, and
-only that gcd is walked (the batch gcd of Bernstein, "How to find smooth
-parts of integers", 2004).  Every trial division, of a number or of that
-gcd, is the one loop _divide_out.  Rho iterates x -> x^e + c
-(Brent & Pollard, Math. Comp. 36, 1981): x -> x^e is e-to-1 on the units
+read from one sieve.  For e > 2 a cofactor of at least the bound's
+square is not walked over that class: one gcd with the product of the
+class's primes, built once per e and cached, holds every one of them that
+divides it, and only that gcd is walked (the batch gcd of Bernstein, "How
+to find smooth parts of integers", 2004).  Every trial division, of a
+number or of that gcd, is the one loop _divide_out.  Rho iterates
+x -> x^e + c (Brent & Pollard, Math. Comp. 36, 1981): x -> x^e is e-to-1 on the units
 mod such a prime, so the walk lives on about s/e values and its expected
 length falls by about sqrt(e).  Each step costs the roughly log2(e)
 multiplications of pow(x, e, n), and the rho budget charges them.
+
+When e = 4k with k odd, a composite cofactor c first takes one gcd with
+2^k - 2^((k+1)/2) + 1.  That is one of Aurifeuille's two factors of
+2^(2k) + 1 = (2^k - 2^((k+1)/2) + 1)(2^k + 2^((k+1)/2) + 1), which are
+coprime, as they differ by a power of 2 (Brent, "On computing factors of
+cyclotomic polynomials", Math. Comp. 61, 1993).  A piece of Phi_4k(2)
+divides 2^(2k) + 1, so the gcd holds each of its primes that divides the
+first factor, to its full power in c, and c over the gcd the others: one
+gcd does what rho might not within its budget (Phi_372(2) has primes of
+15 and 19 digits, one in each).  For another base the gcd is a divisor
+of c all the same, and almost always 1 or c.  Like p - 1 and rho it runs
+only with a budget above 0; it is not charged.
 
 Where rho would walk x -> x^2 + c on a cofactor of at least P1_MIN_BITS
 bits, Pollard's p - 1 (Proc. Camb. Phil. Soc. 76, 1974) goes first.  It
@@ -79,8 +94,10 @@ def configure(*, budget: int | None = None) -> dict[str, int]:
     """Set the process-wide p - 1 and rho budget; None keeps the current one.
 
     The only setter of the limit factor() reads at each call; it stays
-    until the next call.  A budget below 0 is rejected and changes nothing;
-    0 is trial division only.  Returns the value it replaced, so that
+    until the next call.  A budget below 0 is rejected and changes nothing.
+    0 stops p - 1, rho and the Aurifeuillian gcd; trial division runs, and
+    BPSW and the perfect-power test still run on a large cofactor,
+    uncharged.  Returns the value it replaced, so that
     configure(**previous) puts it back.
     """
     global _rho_budget
@@ -333,7 +350,8 @@ def _trial_primes(e: int):
 def _class_product(e: int) -> int:
     """The product of the primes r = 1 (mod e) below TRIAL_BOUND, built once per e.
 
-    From 0.5 KB at e = 120 to 4.5 KB at e = 10, and 18 KB at e = 2.
+    From 0.5 KB at e = 120 to 4.5 KB at e = 10.  factor() never builds the
+    18 KB one of e = 2: it walks that class.
     """
     return math.prod(_trial_primes(e))
 
@@ -557,29 +575,34 @@ def factor(n: int) -> Factorization:
     The trial bound is the constant TRIAL_BOUND.  When n is a
     _Congruent with modulus k (see the module docstring), every prime of n
     divides k or is 1 (mod e), e = lcm(2, k).  A walk divides out the
-    primes of k first.  If what is left is below the bound's square, an
-    ascending walk that stops early goes on over the primes r = 1 (mod e)
-    below the bound, read lazily from the sieve (_trial_primes), or over
-    all the primes below it when those are fewer than the r = 1 (mod e)
-    that the sieve's stride walks.  If it is not, one gcd with the product
-    of the class's primes finds those that divide it, only the gcd is
-    walked, and a second walk divides the primes it found out of what is
-    left (_divide_out_class).  That walk may stop early too, with one of
-    those primes left.  So every prime below the bound that divides n is
-    still divided out, or is all that is left, and a cofactor below the
-    bound's square is still prime.
+    primes of k first.  The trial route for what is left depends on e
+    alone, not on k: a plain n and the moduli 1 and 2 share e = 2, whose
+    congruence every odd prime meets, and take one route, an ascending
+    walk that stops early over all the primes below the bound, at any
+    size.  When e > 2 and what is left is below the bound's square, the
+    same walk goes over the primes r = 1 (mod e) below the bound, read
+    lazily from the sieve (_trial_primes), or over all the primes below it
+    when those are fewer than the r = 1 (mod e) that the sieve's stride
+    walks.  When it is not, one gcd with the product of the class's primes
+    finds those that divide it, only the gcd is walked, and a second walk
+    divides the primes it found out of what is left (_divide_out_class).
+    That walk may stop early too, with one of those primes left.  So every
+    prime below the bound that divides n is still divided out, or is all
+    that is left, and a cofactor below the bound's square is still prime.
     A cofactor above that square is tested by BPSW (primality), and a
     prime above 2^64 is recorded in probable.  A composite one is taken as
     a perfect power b^k if it is one, where b >= bound > 2^16 bounds k by
-    its bit length over 16, and split by rho on x -> x^e + c otherwise.
-    Without a congruence e = 2: all primes below the bound and
-    x -> x^2 + c, and always the walk.  When e = 2 and the cofactor has at
-    least P1_MIN_BITS bits, Pollard p - 1 (_pollard_pm1) runs before rho
-    if its whole charge fits in the cofactor's budget; rho gets what is
-    left.  A piece with e > 2 goes to x -> x^e + c alone.  The budget is
-    configure()'s, and it alone decides what completes: p - 1 always
-    starts from 3 and each cofactor's rho walk is seeded by the cofactor,
-    so the same (n, modulus, budget) always gives the same result.
+    its bit length over 16.  When e = 4k, k odd, one gcd with an
+    Aurifeuillian factor of 2^(2k) + 1 may split it (module docstring);
+    otherwise, and for each part, rho on x -> x^e + c splits it.
+    Without a congruence e = 2: x -> x^2 + c.  When e = 2 and the
+    cofactor has at least P1_MIN_BITS bits, Pollard p - 1 (_pollard_pm1)
+    runs before rho if its whole charge fits in the cofactor's budget; rho
+    gets what is left.  A piece with e > 2 goes to x -> x^e + c alone.
+    The budget is configure()'s, and it alone decides what completes:
+    p - 1 always starts from 3 and each cofactor's rho walk is seeded by
+    the cofactor, so the same (n, modulus, budget) always gives the same
+    result.
     """
     if n < 1:
         raise ValueError("factor requires n >= 1")
@@ -597,7 +620,7 @@ def factor(n: int) -> Factorization:
     e = math.lcm(2, k)
     trial = primes_below(bound)
     m = _divide_out(n, [r for r in trial[:k] if k % r == 0], counts)
-    if k == 1 or m < bound * bound:  # a walk, which stops early
+    if e == 2 or m < bound * bound:  # a walk, which stops early
         m = _divide_out(m, trial if bound // e >= len(trial) else _trial_primes(e),
                         counts)
     else:
@@ -626,6 +649,11 @@ def factor(n: int) -> Factorization:
             return
         left = budget
         d = None
+        if e % 8 == 4 and left > 0:
+            # k = e / 4 is odd: a piece of Phi_4k(2) divides 2^(2k) + 1, and
+            # Aurifeuille's two coprime factors of it split c (module docstring)
+            g = math.gcd(c, 2 ** (e // 4) - 2 ** (e // 8 + 1) + 1)
+            d = g if 1 < g < c else None
         if e == 2 and c.bit_length() >= P1_MIN_BITS and (charge := _pm1_plan()[2]) <= left:
             left -= charge
             d = _pollard_pm1(c)
@@ -710,17 +738,51 @@ def _cyclotomic_pieces(a: int, m: int) -> dict[int, _Congruent]:
     return phi
 
 
+def cyclotomic_product_pieces(p: int, n: int, index_sets) -> list[list[_Congruent]]:
+    """prod over m in ms of Phi_m(p^n) as its pieces Phi_d(p), for each ms of index_sets.
+
+    A primitive d-th root of unity z has z^n of order d / gcd(d, n), so
+    Phi_m(x^n) is the product of the Phi_d(x) with d / gcd(d, n) = m, and
+    each such d divides mn.  So the pieces of ms are the Phi_d(p) with
+    d | n * lcm(ms) and d / gcd(d, n) in ms, d ascending.  One
+    _cyclotomic_pieces call, over the divisors of n times the lcm of every
+    index, serves every set, so nothing is factored; each piece is the
+    _Congruent it returns, tagged with its d.
+    """
+    phi = _cyclotomic_pieces(p, n * math.lcm(*(m for ms in index_sets for m in ms)))
+    return [[v for d, v in phi.items() if d // math.gcd(d, n) in ms] for ms in index_sets]
+
+
+def cyclotomic_products(q: int, index_sets) -> list[int]:
+    """prod over m in ms of Phi_m(q), for each ms of index_sets, dividing no number of q's size.
+
+    Such a product is a polynomial of degree D <= sum(ms) whose roots lie
+    on the unit circle, so its coefficient of x^i is at most
+    binom(D, i) < 2^sum(ms) in size.  With base = 2^(s + 1), s the largest
+    sum(ms), the coefficients are the balanced base-`base` digits of its
+    value at base (Kronecker substitution), which the model gives from
+    small numbers (312 bits at most for F4's tori), and Horner's rule
+    takes them to q.  The model at q itself divides q^d - 1, which costs
+    time quadratic in q's size.
+    """
+    base = 2 << max(map(sum, index_sets))
+
+    def at_q(v: int) -> int:
+        c = (v + base // 2) % base - base // 2  # v's lowest balanced digit
+        return c + q * at_q((v - c) // base) if v else 0
+    return [at_q(math.prod(ps)) for ps in cyclotomic_product_pieces(base, 1, index_sets)]
+
+
 def q_pm_1_pieces(p: int, n: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(q - 1)/e and (q + 1)/e, q = p^n, as their pieces Phi_d(p), d ascending.
 
-    q - 1 is the product over the d | n, q + 1 = (q^2 - 1)/(q - 1) over the
-    d | 2n that do not divide n (_cyclotomic_pieces), so nothing is
-    factored.  e divides both, so it is 1 or 2; e = 2 halves the first even
-    piece of each.  Every piece is a _Congruent carrying its d, halved too.
+    q - 1 = Phi_1(q) and q + 1 = Phi_2(q): the index sets (1,) and (2,) of
+    cyclotomic_product_pieces, whose pieces are the Phi_d(p) with d | n and
+    with d | 2n not dividing n.  e divides both, so it is 1 or 2; e = 2
+    halves the first even piece of each.  Every piece is a _Congruent
+    carrying its d, halved too.
     """
-    minus, plus = [], []
-    for d, value in _cyclotomic_pieces(p, 2 * n).items():
-        (minus if n % d == 0 else plus).append(value)
+    minus, plus = cyclotomic_product_pieces(p, n, ((1,), (2,)))
     if e == 2:
         for side in minus, plus:
             i = next(i for i, v in enumerate(side) if v % 2 == 0)

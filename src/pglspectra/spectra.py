@@ -2,20 +2,26 @@
 
 A spectrum (the set of element orders of a finite group) is divisor-closed,
 so it is stored by the antichain of its maximal elements mu; the full set
-omega is recovered on demand by divisor closure.  The PGL/PSL(2, q) closed
-forms also record each order as its pieces Phi_d(p) (numtheory.q_pm_1_pieces),
-so that consumers factor the pieces, not q -+ 1 whole.
+omega is recovered on demand by divisor closure.  The closed forms of
+PGL/PSL(2, q) and psi(F4(2^e)) build their orders one way: index sets of
+cyclotomic factors Phi_m(q), then their pieces Phi_d(p) from numtheory's
+model (cyclotomic_product_pieces, q_pm_1_pieces its case m in {1, 2}),
+then maximal_elements(orders, label, pieces).  So consumers factor the
+pieces, each with its congruence, never an order whole.  psi(F4)'s orders,
+of degree 4 in q, come from the same model's small coefficients
+(cyclotomic_products), and its pieces are built on first read.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import chain, compress
 from operator import ne
 
 from .errors import BadAction, CapExceeded, NotPrime
-from .numtheory import (Factorization, factor_pieces, is_prime, primes_below,
-                        q_pm_1_pieces)
+from .numtheory import (Factorization, cyclotomic_product_pieces, cyclotomic_products,
+                        factor_pieces, is_prime, primes_below, q_pm_1_pieces)
 from .records import FrozenRecord
 
 DEFAULT_PARTITION_CAP = 40
@@ -33,13 +39,16 @@ class Spectrum(FrozenRecord):
     those pieces (numtheory.factor_pieces) instead of the order whole.  An
     order without an entry is its own single piece.  Building a spectrum
     factors nothing: the closed forms take their pieces, found by exact
-    division and tagged with their d, from numtheory.q_pm_1_pieces.
+    division and tagged with their d, from numtheory's cyclotomic model.
+    pieces may also be given as a function of no arguments that returns
+    the map: it is called on the first read of pieces, so a spectrum that
+    is never factored never builds them.
 
     Two spectra are equal when their mu are; label and pieces are left out
     of == and hash, and pieces out of the repr.
     """
 
-    __slots__ = ("mu", "label", "pieces")
+    __slots__ = ("mu", "label", "_pieces")
     _shown = ("mu", "label")
     _compared = ("mu",)
 
@@ -70,6 +79,13 @@ class Spectrum(FrozenRecord):
         s._fill(mu, label, pieces or {})
         s._check_orders()
         return s
+
+    @property
+    def pieces(self) -> dict[int, tuple[int, ...]]:
+        """The order-to-pieces map; one given as a function is built on first read."""
+        if callable(self._pieces):
+            object.__setattr__(self, "_pieces", self._pieces())
+        return self._pieces
 
     def sorted_mu(self) -> list[int]:
         return sorted(self.mu)
@@ -217,29 +233,34 @@ def omega_metacyclic(m: int, n: int, k: int,
     return maximal_elements(orders, label=f"Z{m}:Z{n} (b->b^{k})")
 
 
+# The five maximal tori of F4(q) behind psi, each as the indices m of its
+# factors Phi_m(q): q^4 - 1, q^4 + 1, q^4 - q^2 + 1, (q - 1)(q^3 + 1) and
+# (q + 1)(q^3 - 1).
+F4_TORI = ((1, 2, 4), (8,), (12,), (1, 2, 6), (1, 2, 3))
+
+
 def psi_f4(e: int) -> frozenset[int]:
     """The five maximal odd-order torus element orders of F4(2^e).
 
-    For q = 2^e these are q^4 - 1, q^4 + 1, q^4 - q^2 + 1, (q-1)(q^3+1) and
-    (q+1)(q^3-1).  This is not the full spectrum of F4(q), only its maximal
-    odd part.
+    Each is the product of the Phi_m(q) of its torus, evaluated by
+    numtheory.cyclotomic_products, so nothing of q's size is divided.  This
+    is not the full spectrum of F4(q), only its maximal odd part.
     """
     if e < 1:
         raise ValueError("e must be >= 1")
-    q = 2**e
-    return frozenset({
-        q**4 - 1,
-        q**4 + 1,
-        q**4 - q**2 + 1,
-        (q - 1) * (q**3 + 1),
-        (q + 1) * (q**3 - 1),
-    })
+    return frozenset(cyclotomic_products(2**e, F4_TORI))
+
+
+def _f4_pieces(e: int) -> dict[int, tuple[int, ...]]:
+    """The order of each torus of F4_TORI at q = 2^e, mapped to its pieces Phi_d(2)."""
+    return {math.prod(ps): tuple(ps) for ps in cyclotomic_product_pieces(2, e, F4_TORI)}
 
 
 def mu_psi_f4(e: int) -> Spectrum:
-    """psi(F4(2^e)) held as a Spectrum, for mu and omega.
+    """psi(F4(2^e)) held as a Spectrum, for mu and omega, with the pieces of each order.
 
-    Only the maximal odd part of the spectrum of F4(2^e), so its prime graph
-    is not that of the group.
+    The pieces are built when first read, so mu, which factors nothing,
+    never pays for the Phi_d(2), d | 24e.  Only the maximal odd part of the
+    spectrum of F4(2^e), so its prime graph is not that of the group.
     """
-    return maximal_elements(psi_f4(e), label=f"psi(F4(2^{e}))")
+    return maximal_elements(psi_f4(e), label=f"psi(F4(2^{e}))", pieces=partial(_f4_pieces, e))

@@ -492,6 +492,39 @@ def test_q_pm_1_pieces_pgl_and_psl_forms():
                             assert d % s == 0 or s % d == 1 % d, (p, n, e, s)
 
 
+def test_cyclotomic_product_pieces_multiply_to_sympy_products():
+    # prod over m in ms of Phi_m(p^n) from sympy's polynomials, for F4's
+    # index sets and distinct ones drawn from the subsets of 1..30 whose lcm
+    # is at most 60, each asked for next to (1,) and (2,) in one call
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    poly = {m: sympy.Poly(sympy.cyclotomic_poly(m, x)) for m in range(1, 31)}
+    rng = random.Random(31)
+    draws = [(1, 2, 4), (8,), (12,), (1, 2, 6), (1, 2, 3)]
+    while len(draws) < 24:
+        ms = tuple(sorted(rng.sample(range(1, 31), rng.randint(1, 4))))
+        if math.lcm(*ms) <= 60 and ms not in draws:
+            draws.append(ms)
+    for p in PAPER_BASES:
+        for n in range(1, 13):
+            q = p**n
+            for ms in draws:
+                index_sets = (ms, (1,), (2,))
+                got = nt.cyclotomic_product_pieces(p, n, index_sets)
+                for sets, pieces in zip(index_sets, got):
+                    ds = [v.modulus for v in pieces]
+                    assert all(type(v) is nt._Congruent for v in pieces), (p, n, sets)
+                    assert ds == sorted(ds), (p, n, sets)
+                    assert all(d // math.gcd(d, n) in sets for d in ds), (p, n, sets)
+                    assert math.prod(pieces) == math.prod(
+                        int(poly[m].eval(q)) for m in sets), (p, n, sets)
+                # the same products by Kronecker substitution, at q and at q^3
+                for x in (q, q**3):
+                    assert nt.cyclotomic_products(x, index_sets) == [
+                        math.prod(int(poly[m].eval(x)) for m in sets)
+                        for sets in index_sets], (p, n, ms)
+
+
 # --- primitive prime divisors -----------------------------------------------------
 
 def test_ppd_examples():
@@ -823,6 +856,53 @@ def test_factor_congruent_across_the_trial_bound():
         for n in (r * s, r * r * s):
             f = nt.factor(nt._Congruent(n, e))
             assert f.complete and f.as_dict() == sympy.factorint(n), (e, n)
+
+
+def test_factor_trial_route_depends_on_e_alone(monkeypatch):
+    # moduli 1 and 2 share e = 2 with a plain number: what is left of a
+    # modulus-2 piece at or above the bound's square is walked over all the
+    # primes, and the class product of e = 2 is never built
+    real = nt._class_product
+
+    def no_class_of_two(e):
+        if e == 2:
+            raise AssertionError("the class product of e = 2 was built")
+        return real(e)
+
+    monkeypatch.setattr(nt, "_class_product", no_class_of_two)
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+    v = (100000000003 + 1) // 4
+    assert v >= nt.TRIAL_BOUND**2
+    assert nt.factor(v).as_dict() == {17573: 1, 1422637: 1}
+    for k in (1, 2):
+        assert nt.factor(nt._Congruent(v, k)) == nt.factor(v), k
+
+
+def test_aurifeuillian_step_splits_phi_4k_of_2(monkeypatch, limits):
+    # Phi_372(2) = 373 * 951088215727633 * 4611545283086450689 divides
+    # 2^186 + 1 = (2^93 - 2^47 + 1)(2^93 + 2^47 + 1), one large prime in
+    # each: any budget above 0 splits it, 0 leaves it whole
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+    piece = nt._cyclotomic_pieces(2, 372)[372]
+    limits(budget=1)
+    assert nt.factor(piece).as_dict() == {373: 1, 951088215727633: 1,
+                                          4611545283086450689: 1}
+    limits(budget=0)
+    f = nt.factor(piece)
+    assert not f.complete and f.as_dict() == {373: 1}
+
+
+def test_aurifeuillian_step_agrees_with_sympy(limits):
+    # Phi_4k(2), k odd, and pieces Phi_d(a) of other bases with
+    # d = 4 (mod 8), where the step must not change the result
+    sympy = pytest.importorskip("sympy")
+    limits(budget=nt.DEFAULT_RHO_BUDGET)
+    for k in range(3, 46, 2):
+        piece = nt._cyclotomic_pieces(2, 4 * k)[4 * k]
+        assert nt.factor(piece).as_dict() == sympy.factorint(int(piece)), k
+    for a, d in ((3, 124), (5, 44), (7, 76), (10, 36), (6, 52)):
+        piece = nt._cyclotomic_pieces(a, d)[d]
+        assert nt.factor(piece).as_dict() == sympy.factorint(int(piece)), (a, d)
 
 
 def test_factor_congruent_walk_that_stops_on_a_prime_of_the_modulus():

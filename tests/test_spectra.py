@@ -456,3 +456,112 @@ def test_psi_f4_values():
 def test_psi_f4_requires_positive_exponent():
     with pytest.raises(ValueError):
         sp.psi_f4(0)
+
+
+def psi_f4_by_formulas(e):
+    """The five torus orders of F4(2^e) written out: the reference for psi_f4."""
+    q = 2**e
+    return {q**4 - 1, q**4 + 1, q**4 - q**2 + 1,
+            (q - 1) * (q**3 + 1), (q + 1) * (q**3 - 1)}
+
+
+def test_psi_f4_matches_the_written_out_formulas():
+    for e in range(1, 80):
+        assert sp.psi_f4(e) == psi_f4_by_formulas(e), e
+        assert sp.mu_psi_f4(e).mu == psi_f4_by_formulas(e), e
+
+
+def test_f4_pieces_are_cyclotomic_and_satisfy_their_congruence():
+    # each order's pieces are Phi_d(2) with d / gcd(d, e) in its torus's
+    # index set, multiply to the order, and every prime of Phi_d(2)
+    # divides d or is 1 (mod d)
+    sympy = pytest.importorskip("sympy")
+    for e in range(1, 17):
+        s = sp.mu_psi_f4(e)
+        q = 2**e
+        assert s.pieces.keys() == s.mu
+        for ms in sp.F4_TORI:
+            order = math.prod(int(sympy.cyclotomic_poly(m, q)) for m in ms)
+            pieces = s.pieces[order]
+            assert math.prod(pieces) == order, (e, ms)
+            for v in pieces:
+                d = v.modulus
+                assert type(v) is nt._Congruent and d // math.gcd(d, e) in ms, (e, ms, d)
+                assert v == nt.cyclotomic_value(d, 2), (e, d)
+                for r in sympy.factorint(int(v)):
+                    assert d % r == 0 or r % d == 1, (e, d, r)
+
+
+def test_omega_f4psi_factors_only_congruent_pieces(monkeypatch, capsys):
+    from pglspectra import cli
+    passed = []
+    real = nt.factor
+
+    def recording_factor(n):
+        passed.append(n)
+        return real(n)
+
+    monkeypatch.setattr(nt, "factor", recording_factor)
+    for e in range(1, 25):
+        passed.clear()
+        assert cli.main(["omega", "f4psi", str(e)]) == 0, e
+        capsys.readouterr()
+        assert passed and all(type(n) is nt._Congruent for n in passed), e
+
+
+def test_omega_f4psi_31_completes(capsys):
+    # the torus Phi_12(2^31) has the piece Phi_372(2), whose two large
+    # primes rho on x^372 + c does not split within the default budget;
+    # Aurifeuille's factors of 2^186 + 1 separate them
+    from pglspectra import cli
+    for argv in (["omega", "f4psi", "31"], ["--json", "omega", "f4psi", "31"]):
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+    assert sp.mu_psi_f4(31).factorization((2**31) ** 4 - 2**62 + 1).complete
+
+
+def test_each_closed_form_takes_one_cyclotomic_pieces_call(monkeypatch):
+    # building a spectrum takes one call; psi(F4)'s pieces Phi_d(2), built
+    # on the first read of pieces, take one more
+    calls = []
+    real = nt._cyclotomic_pieces
+
+    def counting(a, m):
+        calls.append((a, m))
+        return real(a, m)
+
+    monkeypatch.setattr(nt, "_cyclotomic_pieces", counting)
+    for build, args, built, read in ((sp.mu_pgl2, (7, 6), [(7, 12)], []),
+                                     (sp.mu_psl2, (3, 5), [(3, 10)], []),
+                                     (sp.mu_psi_f4, (5,), [(2**13, 24)], [(2, 120)])):
+        calls.clear()
+        s = build(*args)
+        assert calls == built, build.__name__
+        calls.clear()
+        assert s.pieces is s.pieces
+        assert calls == read, build.__name__
+
+
+def test_mu_f4psi_at_large_e_divides_nothing_of_qs_size(monkeypatch):
+    # the orders come from Phi_m(2^13), m | 24, and no Phi_d(2) is built
+    # until the pieces are read
+    e = 100_000
+    calls = []
+    real = nt._cyclotomic_pieces
+
+    def recording(a, m):
+        calls.append((a, m))
+        return real(a, m)
+
+    monkeypatch.setattr(nt, "_cyclotomic_pieces", recording)
+    s = sp.mu_psi_f4(e)
+    assert calls == [(2**13, 24)]
+    assert s.mu == psi_f4_by_formulas(e)
+
+
+def test_f4_pieces_survive_copies_unread():
+    s = sp.mu_psi_f4(6)
+    for c in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert c == s and c.label == s.label
+        assert c.pieces == s.pieces
+        assert [v.modulus for v in c.pieces[2**24 + 1]] == [16, 48]
