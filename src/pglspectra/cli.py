@@ -89,10 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable document")
     parser.add_argument("--budget", type=int, default=numtheory.DEFAULT_RHO_BUDGET,
-                        help="Pollard p-1 and rho budget per cofactor, in "
-                             "multiplications mod the cofactor; one p-1 "
-                             "attempt counts about 22.6k and runs only if "
-                             "that fits; it decides what completes "
+                        help="Pollard p-1 and rho budget per cofactor, in multiplications "
+                             "mod the cofactor; one p-1 attempt counts about 22.6k and "
+                             "runs only if that fits; each part of a split starts with the "
+                             "whole budget again, so a factorization with s splits can "
+                             "spend up to 2s + 1 times it; it decides what completes "
                              "(default %(default)s)")
     parser.add_argument("--cap", type=int,
                         help="size cap: n for sym/alt, m*n for metacyclic, "

@@ -6,10 +6,10 @@ a^n - 1 = prod over d | n of Phi_d(a), they are exactly the primes of
 Phi_n(a) that do not divide n (_stripped_cyclotomic).  Two queries sit on
 that core:
 
-  * primitive_prime_divisors -- all of them, by factoring the stripped
-    Phi_n(a) once;
+  * primitive_prime_divisors -- all of them, by factoring the model's
+    Phi_n(a) once, tagged with n, and dropping its primes that divide n;
   * ppd_exists_above -- an exact existence test "is there one above q?"
-    that never factors anything big: it trial divides the stripped
+    that factors nothing, not even n: it trial divides the stripped
     Phi_n(a) by the r = 1 (mod lcm(2, n)) up to q and looks at what is
     left.
 
@@ -26,7 +26,7 @@ Every prime s of Phi_d(a) divides d or is 1 (mod d): if s does not divide
 d, then a has order exactly d mod s, so d | s - 1.  factor() uses that
 congruence when the number comes as a _Congruent, which only this module
 builds, next to the proof: the pieces of _cyclotomic_pieces, and so of
-the model, and the stripped Phi_n(a) of primitive_prime_divisors.
+the model and of primitive_prime_divisors.
 With e = lcm(2, k) every prime not dividing k is odd and 1 (mod e), so
 trial division needs only the primes of k and the primes r = 1 (mod e),
 read from one sieve.  For e > 2 a cofactor of at least the bound's
@@ -112,11 +112,11 @@ def configure(*, budget: int | None = None) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # primality
 
-# The first 12 primes: primality() screens n by trial division with them.
-# As Miller-Rabin bases they are exact for n below
-# 318_665_857_834_031_151_167_461, which exceeds 2^64.  BPSW has no
-# pseudoprime below 2^64 (Feitsma & Galway), so primality() is exact below
-# the limit and probabilistic from it on.
+# The first 12 primes: primality() trial divides n by them before BPSW,
+# which is base 2 and a strong Lucas test, and never uses them as
+# Miller-Rabin bases.  BPSW has no pseudoprime below 2^64 (Feitsma &
+# Galway), so primality() is exact below the limit and probabilistic from
+# it on.
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
 
@@ -318,11 +318,10 @@ class _Congruent(int):
     """An integer each of whose primes divides `modulus` or is 1 (mod modulus).
 
     Only this module builds one, where the congruence is proved: a
-    cyclotomic piece Phi_d(a), halved or not, carries d, the stripped
-    Phi_n(a) carries n.  factor() reads the modulus to choose its trial
-    divisors and rho map; to everything else it is the plain integer.  A
-    wrong modulus would make factor() unsound, so it is never taken from
-    outside this module.
+    cyclotomic piece Phi_d(a), halved or not, carries d.  factor() reads
+    the modulus to choose its trial divisors and rho map; to everything
+    else it is the plain integer.  A wrong modulus would make factor()
+    unsound, so it is never taken from outside this module.
     """
 
     def __new__(cls, value: int, modulus: int):
@@ -566,8 +565,11 @@ def factor(n: int) -> Factorization:
 
     Never raises on hard input: if the per-cofactor budget runs out, the
     partial result is returned with complete=False and the unfactored
-    cofactor recorded.  The budget counts multiplications mod the cofactor:
-    one per step of x -> x^2 + c, and as many per step of x -> x^e + c as
+    cofactor recorded.  Each part of a split starts with the whole budget
+    again (settle): a call that splits s times tries s cofactors that split
+    and at most s + 1 that do not, so it can spend up to 2s + 1 times the
+    budget.  The budget counts multiplications mod the cofactor: one per
+    step of x -> x^2 + c, and as many per step of x -> x^e + c as
     pow(x, e, n) takes, so it bounds the time spent whatever e is.  Pollard
     p - 1 is charged to the same budget: one squaring per bit of its
     stage-1 exponent and 2 multiplications per stage-2 prime, about 22.6k.
@@ -580,12 +582,11 @@ def factor(n: int) -> Factorization:
     congruence every odd prime meets, and take one route, an ascending
     walk that stops early over all the primes below the bound, at any
     size.  When e > 2 and what is left is below the bound's square, the
-    same walk goes over the primes r = 1 (mod e) below the bound, read
-    lazily from the sieve (_trial_primes), or over all the primes below it
-    when those are fewer than the r = 1 (mod e) that the sieve's stride
-    walks.  When it is not, one gcd with the product of the class's primes
-    finds those that divide it, only the gcd is walked, and a second walk
-    divides the primes it found out of what is left (_divide_out_class).
+    same walk goes over the primes r = 1 (mod e) below the bound alone,
+    read lazily from the sieve (_trial_primes).  When it is not, one gcd
+    with the product of the class's primes finds those that divide it,
+    only the gcd is walked, and a second walk divides the primes it found
+    out of what is left (_divide_out_class).
     That walk may stop early too, with one of those primes left.  So every
     prime below the bound that divides n is still divided out, or is all
     that is left, and a cofactor below the bound's square is still prime.
@@ -621,8 +622,7 @@ def factor(n: int) -> Factorization:
     trial = primes_below(bound)
     m = _divide_out(n, [r for r in trial[:k] if k % r == 0], counts)
     if e == 2 or m < bound * bound:  # a walk, which stops early
-        m = _divide_out(m, trial if bound // e >= len(trial) else _trial_primes(e),
-                        counts)
+        m = _divide_out(m, trial if e == 2 else _trial_primes(e), counts)
     else:
         m = _divide_out_class(m, e, counts)
     cofactor = 1
@@ -852,44 +852,47 @@ class PpdReport(FrozenRecord):
 def _stripped_cyclotomic(a: int, n: int) -> int:
     """Phi_n(a) with every prime of n divided out to full multiplicity.
 
-    The primes of the stripped value are exactly the primitive prime
-    divisors of a^n - 1.  A prime s of Phi_n(a) with d = ord_s(a) < n has
+    Each pass divides by gcd(value, n) until that is 1, so n is never
+    factored and the strip does not depend on the budget.  The primes of
+    the stripped value are exactly the primitive prime divisors of
+    a^n - 1.  A prime s of Phi_n(a) with d = ord_s(a) < n has
     n = d * s^k for some k >= 1, so s divides n and is stripped.  A
     primitive prime divisor s has ord_s(a) = n, so it divides Phi_n(a);
     and n | s - 1, i.e. s = 1 (mod n), so s > n cannot divide n and is
     never stripped.  For n = 1 nothing is stripped and Phi_1(a) = a - 1.
     """
     value = cyclotomic_value(n, a)
-    for r in factor(n).require_complete().primes():
-        while value % r == 0:
-            value //= r
+    while (g := math.gcd(value, n)) > 1:
+        value //= g
     return value
 
 
 def primitive_prime_divisors(a: int, n: int) -> PpdReport:
-    """All primitive prime divisors of a^n - 1: the primes of the stripped Phi_n(a).
+    """All primitive prime divisors of a^n - 1: the primes of Phi_n(a) not dividing n.
 
-    One factorization of Phi_n(a) with the primes of n divided out (see
-    _stripped_cyclotomic for why that is exact); its primes, completeness
-    and probable primes are the report's.  For n = 1 the primitivity
-    condition is vacuous and the result is just the prime set of a - 1.
-    The factoring budget is configure()'s.
+    One factorization of the model's piece Phi_n(a), tagged with n
+    (_cyclotomic_pieces), so it shares its cache entry with the piece a
+    closed form records.  Its primes that divide n, which factor()'s first
+    walk divides out, are dropped (see _stripped_cyclotomic for why the
+    rest are exactly the primitive ones); the rest, completeness and
+    probable primes are the report's.  For n = 1 the primitivity condition
+    is vacuous and the result is just the prime set of a - 1.  The
+    factoring budget is configure()'s.
     """
     if a < 2 or n < 1:
         raise ValueError("need a >= 2 and n >= 1")
-    value = _stripped_cyclotomic(a, n)
-    f = factor(_Congruent(value, n))
+    f = factor(_cyclotomic_pieces(a, n)[n])
     return PpdReport(
-        a=a, n=n, primitive_primes=frozenset(f.primes()),
-        exception=zsigmondy_exception(a, n),
-        method=METHOD_FULL, complete=f.complete, probable=f.probable,
+        a=a, n=n, primitive_primes=frozenset(s for s in f.primes() if n % s),
+        exception=zsigmondy_exception(a, n), method=METHOD_FULL,
+        complete=f.complete, probable=f.probable,
     )
 
 
 def ppd_exists_above(a: int, n: int, q: int) -> PpdReport:
     """Exact decision: does some primitive prime divisor of a^n - 1 exceed q?
 
-    No factorization of a^n - 1 is attempted.  The primes of the stripped
+    Nothing is factored, not even n.  The primes of the stripped
     Phi_n(a) are exactly the primitive prime divisors (see
     _stripped_cyclotomic), so after dividing out all of them <= q, a
     residual > 1 is equivalent to the existence of a primitive prime

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pglspectra import numtheory as nt
+from pglspectra import spectra as sp
 from pglspectra.errors import FactorizationIncomplete, NotCoprime
 
 
@@ -332,6 +333,12 @@ def test_factor_caches_every_outcome_under_what_decides_it(monkeypatch, limits):
     keys = set(cache)
     nt.factor_pieces((3, 8, 100))
     assert {key[0] for key in set(cache) - keys} == {3, 8, 100}
+    # ppd factors the model's own Phi_4(7) = 50, the piece of q + 1 that
+    # mu_pgl2(7, 2) factored: its entry answers, and none is added
+    sp.mu_pgl2(7, 2).factorization(50)
+    keys = set(cache)
+    assert nt.primitive_prime_divisors(7, 4).primitive_primes == {5}
+    assert set(cache) == keys
 
 
 def test_cache_answers_only_the_budget_that_filled_it(monkeypatch, limits):
@@ -616,14 +623,25 @@ def test_ppd_completes_where_lower_a_i_minus_1_are_hard(limits):
 
 # --- ppd_exists_above ---------------------------------------------------------------
 
-def test_ppd_above_examples():
+def test_ppd_above_examples(monkeypatch):
+    # the strip divides by gcd(value, n): no ppd-above path factors anything
+    def no_factor(n):
+        raise AssertionError(f"factor({n}) called")
+
+    monkeypatch.setattr(nt, "factor", no_factor)
+    # Phi_20(2) = 5 * 41, Phi_6(5) = 3 * 7, Phi_8(3) = 2 * 41, Phi_2(23) = 2^3 * 3
+    for (a, n), value in {(7, 5): 2801, (2, 6): 1, (2, 20): 41, (5, 6): 7,
+                          (3, 8): 41, (23, 2): 3, (7, 1): 6}.items():
+        assert nt._stripped_cyclotomic(a, n) == value, (a, n)
     rep = nt.ppd_exists_above(7, 5, 13)
     assert rep.exists_above_threshold is True
     assert rep.residual == 2801
     assert rep.method == nt.METHOD_RESIDUAL
     assert nt.ppd_exists_above(2, 6, 2).exists_above_threshold is False
     # infeasible by full factorization; the whole point of the method
-    assert nt.ppd_exists_above(73, 126, 127).exists_above_threshold is True
+    rep = nt.ppd_exists_above(73, 126, 127)
+    assert rep.exists_above_threshold is True
+    assert rep.residual == nt.cyclotomic_value(126, 73)
 
 
 def test_ppd_above_finds_known_false_instance():
