@@ -89,9 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable document")
     parser.add_argument("--budget", type=int, default=numtheory.DEFAULT_RHO_BUDGET,
-                        help="Pollard p-1 and rho budget per cofactor, in multiplications "
-                             "mod the cofactor; one p-1 attempt counts about 22.6k and "
-                             "runs only if that fits; each part of a split starts with the "
+                        help="Pollard p-1, rho and ECM budget per cofactor, in "
+                             "multiplications mod the cofactor; one p-1 attempt counts "
+                             "about 22.6k and one ECM curve 5.6k or more, each run only "
+                             "if that fits, and no curve runs below 13811; each part "
+                             "of a split starts with the "
                              "whole budget again, so a factorization with s splits can "
                              "spend up to 2s + 1 times it; it decides what completes "
                              "(default %(default)s)")

@@ -60,8 +60,20 @@ pow(3, lcm(1..P1_BOUND), n), which runs in C; stage 2 walks trial
 division's primes above P1_BOUND, stepping x^r from one prime to the next
 by a table of x^gap.  The budget charges it about 22.6k multiplications
 (_pm1_plan), which rho's expected charge on a balanced split, about
-n^(1/4), reaches at about P1_MIN_BITS bits.  Pieces with e > 2 keep
-x -> x^e + c alone.
+n^(1/4), reaches at about P1_MIN_BITS bits.  Pieces with e > 2 skip it.
+
+Rho finds a prime s in about sqrt(s / e) steps, so past a few dozen bits
+Lenstra's elliptic curve method (ECM) finds it sooner: its time grows
+with the size of s far more slowly.  After p - 1, rho walks a share of
+the budget, what it expects to need for a prime of RHO_SHARE_BITS bits
+(_rho_share); then ECM curves run, each only if its whole charge fits in
+what is left, and rho walks the rest.  A curve is a Montgomery curve
+from Suyama's parametrization, drawn from a generator seeded by the
+cofactor; stage 1 is one x-only ladder over lcm(1..B1), and stage 2
+pairs baby and giant steps on D = 210, one multiplication per pair of
+primes up to ECM_B2 * B1 (_ecm_curve).  B1 rises as curves fail, as in
+GMP-ECM's table (Zimmermann & Dodson, ANTS 2006): ECM_B1.  Every e gets
+the curves, pieces too.
 """
 
 from __future__ import annotations
@@ -71,13 +83,13 @@ import functools
 import math
 import random
 from collections import Counter, namedtuple
-from itertools import compress
+from itertools import compress, repeat
 
 from .errors import FactorizationIncomplete, NotCoprime
 from .records import FrozenRecord
 
-# The trial bound is fixed; configure() alone sets the budget for p - 1
-# and rho that factor() uses, and cli.main sets it for one invocation.
+# The trial bound is fixed; configure() alone sets the budget for p - 1,
+# rho and ECM that factor() uses, and cli.main sets it for one invocation.
 TRIAL_BOUND = 10**5
 DEFAULT_RHO_BUDGET = 10**7
 # Pollard p - 1: stage 1 takes every prime power up to P1_BOUND, and only a
@@ -86,16 +98,26 @@ DEFAULT_RHO_BUDGET = 10**7
 P1_BOUND = 3000
 P1_MIN_BITS = 56
 _P1_MAX_GAP = 72
+# ECM: rho first walks the share it expects to need for a prime of
+# RHO_SHARE_BITS bits, then curves run while their charge fits.  Curve i
+# takes the b1 of the first (count, b1) of ECM_B1 whose counts sum past i,
+# or the last b1; stage 2 goes to ECM_B2 * b1 in giant steps of ECM_D.
+RHO_SHARE_BITS = 26
+ECM_B1 = ((20, 250), (60, 2000), (None, 11000))
+ECM_B2 = 50
+ECM_D = 210
+# Stage 2's baby steps: the j < ECM_D / 2 prime to ECM_D, 24 for D = 210.
+_ECM_BABIES = tuple(j for j in range(1, ECM_D // 2, 2) if math.gcd(j, ECM_D) == 1)
 
 _rho_budget = DEFAULT_RHO_BUDGET
 
 
 def configure(*, budget: int | None = None) -> dict[str, int]:
-    """Set the process-wide p - 1 and rho budget; None keeps the current one.
+    """Set the process-wide p - 1, rho and ECM budget; None keeps the current one.
 
     The only setter of the limit factor() reads at each call; it stays
     until the next call.  A budget below 0 is rejected and changes nothing.
-    0 stops p - 1, rho and the Aurifeuillian gcd; trial division runs, and
+    0 stops p - 1, rho, ECM and the Aurifeuillian gcd; trial division runs, and
     BPSW and the perfect-power test still run on a large cofactor,
     uncharged.  Returns the value it replaced, so that
     configure(**previous) puts it back.
@@ -512,6 +534,159 @@ def _pollard_pm1(n: int) -> int | None:
     return None
 
 
+@functools.cache
+def _rho_share(e: int) -> int:
+    """What rho walks on x -> x^e + c before the first ECM curve.
+
+    Its expected charge for a prime of RHO_SHARE_BITS bits, about
+    step * sqrt(2^RHO_SHARE_BITS / e), rounded up to whole rounds of Brent's
+    walk: a round of r steps and its r paired steps charge 2 r step, and r
+    doubles.  A walk given this share less 1 as its budget stops at the end
+    of the round that spends it, unless it splits its number first.
+    """
+    step = e.bit_length() + e.bit_count() - 2
+    target = step * math.isqrt(2**RHO_SHARE_BITS // e)
+    share, r = 0, 1
+    while share <= target:
+        share, r = share + 2 * r * step, 2 * r
+    return share
+
+
+_EcmPlan = namedtuple("_EcmPlan", "bits first slots charge")
+
+
+@functools.cache
+def _ecm_plan(b1: int) -> _EcmPlan:
+    """The fixed part of one ECM curve at b1, built once per b1.
+
+    bits is bin(k)[3:], k = lcm(1..b1), which stage 1's ladder reads.  Stage 2
+    covers each prime s in (b1, ECM_B2 * b1] as s = m D +- j, D = ECM_D,
+    0 < j < D / 2 and gcd(j, D) = 1: slots holds, for each giant m from
+    first on, the indices of the j whose pair has a prime, in the order of
+    those j.  charge is what the budget counts for a curve: its
+    multiplications mod n, each of its three inversions counted as one.
+    """
+    primes = primes_below(max(ECM_B2 * b1 + 1, TRIAL_BOUND))
+    exponent = 1
+    for p in primes[:bisect.bisect(primes, b1)]:
+        power = p
+        while power * p <= b1:
+            power *= p
+        exponent *= power
+    babies = {j: i for i, j in enumerate(_ECM_BABIES)}
+    pairs: dict[int, set[int]] = {}
+    for s in primes[bisect.bisect(primes, b1):bisect.bisect(primes, ECM_B2 * b1)]:
+        m = (s + ECM_D // 2) // ECM_D
+        pairs.setdefault(m, set()).add(babies[abs(s - m * ECM_D)])
+    first, last = min(pairs), max(pairs)
+    slots = tuple(tuple(sorted(pairs.get(m, ()))) for m in range(first, last + 1))
+    bits = bin(exponent)[3:]
+    kept = len(slots) + len(babies)
+    charge = (15 + 5 + 10 * len(bits)  # the curve, 2P and the ladder
+              + 2 + 5 + 6 * (ECM_D // 4)  # x(Q), 2Q and the odd jQ up to D / 2
+              + 10 + 6 * max(last - 2, 0)  # DQ, 2DQ and the walk to the last giant
+              + 4 * kept + 1 + sum(map(len, slots)))  # normalized; one per pair
+    return _EcmPlan(bits, first, slots, charge)
+
+
+def _ecm_schedule():
+    """The b1 of each curve in turn, from ECM_B1, without end."""
+    for count, b1 in ECM_B1[:-1]:
+        yield from repeat(b1, count)
+    yield from repeat(ECM_B1[-1][1])
+
+
+def _ecm_curve(n: int, rng: random.Random, b1: int) -> int | None:
+    """A proper factor of n from one ECM curve at b1, or None.
+
+    Lenstra's method (Ann. Math. 126, 1987) on a Montgomery curve
+    B y^2 = x^3 + A x^2 + x with x-only arithmetic (Montgomery, Math.
+    Comp. 48, 1987), from Suyama's parametrization: sigma drawn from rng,
+    u = sigma^2 - 5, v = 4 sigma, P = (u^3 / v^3 : 1) and
+    (A + 2) / 4 = (v - u)^3 (3u + v) / (16 u^3 v).  Mod a prime s of n
+    the group has order divisible by 12, and the curve finds s when that
+    order is b1-smooth but for one prime up to ECM_B2 * b1.
+    Stage 1 is one ladder Q = [k]P, k = lcm(1..b1): s | Z(Q) when the
+    order of P mod s divides k.  Stage 2 pairs baby steps jQ with giant
+    steps m D Q, all normalized to x alone by one batch inversion (the
+    trick of Montgomery, Math. Comp. 48, 1987): x(mDQ) - x(jQ) vanishes
+    mod s when the order of Q mod s divides m D - j or m D + j, so one
+    multiplication covers both primes of a pair.  An inversion that fails
+    gives its gcd with n instead; a gcd equal to n gives None.
+    """
+    plan = _ecm_plan(b1)
+    sigma = rng.randrange(6, n - 1)
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    u3, v3 = u * u % n * u % n, v * v % n * v % n
+    den = 16 * u3 * v3 % n
+    if (g := math.gcd(den, n)) != 1:
+        return g if g != n else None
+    inv = pow(den, -1, n)
+    x = 16 * u3 * u3 % n * inv % n
+    a24 = (v - u) ** 3 % n * (3 * u + v) % n * v % n * v % n * inv % n
+
+    # stage 1: (x1 : z1) = [i]P and (x2 : z2) = [i + 1]P, from the top bit of k
+    s, d = (x + 1) ** 2 % n, (x - 1) ** 2 % n
+    t = s - d
+    x1, z1, x2, z2 = x, 1, s * d % n, t * (d + a24 * t) % n
+    for bit in plan.bits:
+        p1, m1, p2, m2 = x1 + z1, x1 - z1, x2 + z2, x2 - z2
+        u, v = m1 * p2, p1 * m2
+        xa, za = (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        if bit == "1":
+            s, d = p2 * p2 % n, m2 * m2 % n
+            t = s - d
+            x1, z1, x2, z2 = xa, za, s * d % n, t * (d + a24 * t) % n
+        else:
+            s, d = p1 * p1 % n, m1 * m1 % n
+            t = s - d
+            x1, z1, x2, z2 = s * d % n, t * (d + a24 * t) % n, xa, za
+    if (g := math.gcd(z1, n)) != 1:
+        return g if g != n else None
+
+    # stage 2
+    def dbl(x, z):
+        s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+        t = s - d
+        return s * d % n, t * (d + a24 * t) % n
+
+    def walk(prev, point, step, count):
+        # point + i * step for i = 0..count, each from the last two and
+        # prev = point - step: x(P + S) from x(P), x(S) and x(P - S)
+        (xb, zb), (xa, za) = prev, point
+        ps, ms = sum(step), step[0] - step[1]
+        out = [point]
+        for _ in range(count):
+            u, v = (xa - za) * ps, (xa + za) * ms
+            xa, za, xb, zb = zb * (u + v) ** 2 % n, xb * (u - v) ** 2 % n, xa, za
+            out.append((xa, za))
+        return out
+
+    q = x1 * pow(z1, -1, n) % n, 1
+    odd = walk(q, q, dbl(*q), ECM_D // 4)  # odd[i] = (2i + 1)Q, up to D / 2
+    step = dbl(*odd[-1])  # DQ
+    giants = [step] + walk(step, dbl(*step), step, len(plan.slots) + plan.first - 3)
+    points = [odd[j // 2] for j in _ECM_BABIES] + giants[plan.first - 1:]
+    partial = [1]  # partial[i] = the product of the first i z mod n
+    for _, z in points:
+        partial.append(partial[-1] * z % n)
+    if (g := math.gcd(partial[-1], n)) != 1:
+        return g if g != n else None
+    inv = pow(partial[-1], -1, n)
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        xs[i] = points[i][0] * partial[i] % n * inv % n
+        inv = inv * points[i][1] % n
+    baby = xs[:len(_ECM_BABIES)]
+    q = 1
+    for xg, js in zip(xs[len(baby):], plan.slots):
+        for j in js:
+            q = q * (xg - baby[j]) % n
+    g = math.gcd(q, n)
+    return g if 1 < g < n else None
+
+
 def _iroot(n: int, r: int) -> int:
     """floor(n^(1/r)) for n >= 1 and r >= 2, by integer Newton steps.
 
@@ -561,7 +736,7 @@ def _factorization(n: int, counts: Counter[int], probable: set[int],
 
 
 def factor(n: int) -> Factorization:
-    """Factor n >= 1: trial division below TRIAL_BOUND, then p - 1 and Brent/Pollard rho.
+    """Factor n >= 1: trial division below TRIAL_BOUND, then p - 1, rho and ECM.
 
     Never raises on hard input: if the per-cofactor budget runs out, the
     partial result is returned with complete=False and the unfactored
@@ -573,6 +748,8 @@ def factor(n: int) -> Factorization:
     pow(x, e, n) takes, so it bounds the time spent whatever e is.  Pollard
     p - 1 is charged to the same budget: one squaring per bit of its
     stage-1 exponent and 2 multiplications per stage-2 prime, about 22.6k.
+    So is each ECM curve, by the multiplications it makes (_ecm_plan):
+    about 5.6k at the first B1.
 
     The trial bound is the constant TRIAL_BOUND.  When n is a
     _Congruent with modulus k (see the module docstring), every prime of n
@@ -598,11 +775,15 @@ def factor(n: int) -> Factorization:
     otherwise, and for each part, rho on x -> x^e + c splits it.
     Without a congruence e = 2: x -> x^2 + c.  When e = 2 and the
     cofactor has at least P1_MIN_BITS bits, Pollard p - 1 (_pollard_pm1)
-    runs before rho if its whole charge fits in the cofactor's budget; rho
-    gets what is left.  A piece with e > 2 goes to x -> x^e + c alone.
+    runs before rho if its whole charge fits in the cofactor's budget; a
+    piece with e > 2 skips it.  When what is left holds rho's share
+    (_rho_share) and the first curve, rho walks the share, then ECM curves
+    run while the whole charge of the next one fits, and rho walks what is
+    left; otherwise rho walks it all.  So a budget below the share plus
+    one curve, 13811 for e = 2, factors as p - 1 and rho alone.
     The budget is configure()'s, and it alone decides what completes:
-    p - 1 always starts from 3 and each cofactor's rho walk is seeded by
-    the cofactor, so the same (n, modulus, budget) always gives the same
+    p - 1 always starts from 3, and each cofactor seeds its rho walk and
+    its curves, so the same (n, modulus, budget) always gives the same
     result.
     """
     if n < 1:
@@ -659,6 +840,16 @@ def factor(n: int) -> Factorization:
             d = _pollard_pm1(c)
         # another string is another walk: it changes what a small budget factors
         rng = random.Random(f"0:{c}")
+        share = _rho_share(e)
+        if d is None and share + _ecm_plan(ECM_B1[0][1]).charge <= left:
+            d, used = _pollard_rho_brent(c, rng, share - 1, e)
+            left -= used
+            curves = random.Random(f"ecm:{c}")
+            for b1 in _ecm_schedule():
+                if d is not None or (charge := _ecm_plan(b1).charge) > left:
+                    break
+                left -= charge
+                d = _ecm_curve(c, curves, b1)
         while d is None and left > 0:
             d, used = _pollard_rho_brent(c, rng, left, e)
             left -= used

@@ -70,7 +70,8 @@ def test_factor_text(capsys):
 
 def test_factor_by_p_minus_1_within_the_budget(capsys, monkeypatch):
     # 632814148699 - 1 = 2*3*67*193*229*35617: p - 1 splits the 80-bit product
-    # within budget 40000; below its charge rho alone does not
+    # within budget 40000; below its charge, rho and the two ECM curves that
+    # fit do not
     n = "1274495412331289495806801"
     monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
     assert run(capsys, "--budget", "40000", "factor", n) == (

@@ -1317,7 +1317,117 @@ def test_rho_gets_what_p_minus_1_leaves(monkeypatch, limits, n):
         assert nt.factor(n) == factor_rho_only(n, budget - charge), budget
 
 
-# --- perfect powers ----------------------------------------------------------------------
+# --- ECM after rho's share ----------------------------------------------------------------
+
+# the stripped Phi_23(37) without its 47: primes of 16 and 18 digits, 1 (mod 46)
+PHI_23_37 = 1845029930335901 * 375176717285846681
+
+
+@pytest.mark.parametrize("e", [2, 12, 46])
+def test_rho_share_is_whole_rounds_past_the_expected_charge(e):
+    # a walk that does not split its number spends exactly the share
+    step = e.bit_length() + e.bit_count() - 2
+    share = nt._rho_share(e)
+    assert share >= step * math.isqrt(2**nt.RHO_SHARE_BITS // e) > share // 2 - 2 * step
+    walk = nt._pollard_rho_brent(PHI_23_37, random.Random(f"0:{PHI_23_37}"), share - 1, e)
+    assert walk == (None, share)
+
+
+def test_ecm_schedule_follows_the_b1_table():
+    b1s = list(itertools.islice(nt._ecm_schedule(), 1000))
+    (first, low), (second, mid), (_, top) = nt.ECM_B1
+    assert b1s == [low] * first + [mid] * second + [top] * (1000 - first - second)
+    plans = [nt._ecm_plan(b1) for b1 in (low, mid, top)]
+    assert plans[0].charge < plans[1].charge < plans[2].charge
+    for b1, plan in zip((low, mid, top), plans):
+        assert int("1" + plan.bits, 2) == math.lcm(*range(1, b1 + 1))
+        # every prime in (b1, ECM_B2 * b1] is m D +- j for one slot j of giant m
+        babies = nt._ECM_BABIES
+        covered = {(plan.first + i) * nt.ECM_D + s * babies[j]
+                   for i, js in enumerate(plan.slots) for j in js for s in (-1, 1)}
+        stage2 = [s for s in nt.primes_below(nt.ECM_B2 * b1 + 1) if s > b1]
+        assert set(stage2) <= covered and all(js == tuple(sorted(set(js))) for js in plan.slots)
+
+
+def test_ecm_curve_splits_and_never_returns_n_or_1():
+    # a 31-bit prime times a 36-bit one, as in the bench's semiprimes; every
+    # answer of a curve is a proper factor or None
+    n = 1000000007 * 68719476767
+    rng = random.Random("ecm:test")
+    found = [nt._ecm_curve(n, rng, 250) for _ in range(40)]
+    assert {d for d in found if d is not None} <= {1000000007, 68719476767}
+    assert sum(d is not None for d in found) >= 4
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(28, 45), st.integers(0, 16), st.sampled_from([1, 2, 3, 12, 23, 37]),
+       st.integers(0, 2**32))
+def test_ecm_factors_as_sympy_past_the_rho_share(bits, extra, k, seed):
+    # p * q with p of 28 to 45 bits, past what rho walks before the curves;
+    # both 1 (mod e), so the product is also a piece of modulus k
+    sympy = pytest.importorskip("sympy")
+    e = math.lcm(2, k)
+    rnd = random.Random(seed)
+
+    def prime(b: int) -> int:
+        while not sympy.isprime(s := rnd.randrange(2 ** (b - 1), 2**b) // e * e + 1):
+            pass
+        return s
+
+    p = prime(bits)
+    q = prime(bits + extra)
+    assume(p != q)
+    want = sympy.factorint(p * q)
+    assert nt.factor(p * q).as_dict() == want
+    assert nt.factor(nt._Congruent(p * q, k)).as_dict() == want
+
+
+def test_ecm_curves_run_only_where_their_whole_charge_fits(monkeypatch, limits):
+    # a piece of modulus 23 skips p - 1; the rho share does not split it, and
+    # no curve does either: each one is recorded and fails
+    piece = nt._Congruent(PHI_23_37, 23)
+    used = nt._rho_share(46)
+    runs = []
+    monkeypatch.setattr(nt, "_ecm_curve", lambda c, rng, b1: runs.append(b1))
+    (first, low), (_, mid), _ = nt.ECM_B1
+    low_charge, mid_charge = nt._ecm_plan(low).charge, nt._ecm_plan(mid).charge
+    for budget, b1s in ((used + low_charge - 1, []),
+                        (used + low_charge, [low]),
+                        (used + first * low_charge + mid_charge - 1, [low] * first),
+                        (used + first * low_charge + mid_charge, [low] * first + [mid])):
+        monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+        runs.clear()
+        limits(budget=budget)
+        assert not nt.factor(piece).complete
+        assert runs == b1s, budget
+
+
+@pytest.mark.parametrize("n", [
+    PM1_STAGE2, HARD_P1 * HARD_P2, 13097927 * 17189128703, 200000033 * 500000003,
+    22998271 * 3535855212619, 1000003 * 10000019 * 100000007, 97**24 + 1])
+def test_a_budget_short_of_the_share_and_one_curve_is_rho_alone(monkeypatch, limits, n):
+    budget = nt._rho_share(2) + nt._ecm_plan(nt.ECM_B1[0][1]).charge - 1
+    assert budget < nt._pm1_plan()[2]
+    monkeypatch.setattr(nt, "_FACTOR_CACHE", {})
+    limits(budget=budget)
+    assert nt.factor(n) == factor_rho_only(n, budget)
+
+
+def test_ecm_splits_what_rho_leaves_at_the_same_budget(monkeypatch, limits):
+    # below p - 1's charge, rho alone does not split this 68-bit semiprime;
+    # once the first curve fits beside the share, the curve splits it
+    n = 176322187 * 958263922949
+    budget = nt._rho_share(2) + nt._ecm_plan(nt.ECM_B1[0][1]).charge
+    assert budget < nt._pm1_plan()[2]
+    limits(budget=budget - 1)
+    assert nt.factor(n) == factor_rho_only(n, budget - 1)
+    assert not nt.factor(n).complete
+    limits(budget=budget)
+    assert not factor_rho_only(n, budget).complete
+    assert nt.factor(n).as_dict() == {176322187: 1, 958263922949: 1}
+
+
+# --- perfect powers----------------------------------------------------------------------
 
 @pytest.mark.parametrize("k", [4, 6, 12, 30])
 def test_perfect_power_roots_match_sympy(k):
