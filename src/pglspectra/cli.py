@@ -8,7 +8,9 @@ machine-readable document with a stable schema:
 
 Exit codes: 0 success, 1 verification failure, 2 usage/domain error,
 3 enumeration cap or factoring budget exhausted, also for a verify run
-whose only failed checks are ones the budget left incomplete.
+whose only failed checks are ones the budget left incomplete.  A reader
+that closes stdout early (`| head`) changes no exit code: what is left of
+the output is dropped, with no traceback.
 
 Each command's handler, _cmd_<command>(args, diagnostics), set as its
 subparser's default, appends its notes to diagnostics and returns (result,
@@ -30,6 +32,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -503,21 +506,29 @@ def _main(argv) -> int:
         result, lines, code = args.handler(args, diagnostics)
     except (ToolkitError, ValueError) as exc:
         resource = isinstance(exc, (CapExceeded, FactorizationIncomplete))
-        if args.json:
-            kind = "resource limit" if resource else "domain error"
-            _write(render_document(
-                args.command, _inputs_of(args), None, [f"{kind}: {exc}"]))
-        else:
+        code = EXIT_RESOURCE if resource else EXIT_USAGE
+        if not args.json:
             print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE if resource else EXIT_USAGE
+            return code
+        kind = "resource limit" if resource else "domain error"
+        result, diagnostics = None, [f"{kind}: {exc}"]
     finally:  # the library's budget is left as this call found it
         numtheory.configure(**previous)
-    if args.json:
-        _write(render_document(args.command, _inputs_of(args), result, diagnostics))
-    else:
-        for line in lines:
-            _write(line)
-            sys.stdout.write("\n")
+    try:
+        if args.json:
+            _write(render_document(args.command, _inputs_of(args), result, diagnostics))
+        else:
+            for line in lines:
+                _write(line)
+                sys.stdout.write("\n")
+        if sys.stdout is sys.__stdout__:  # flushed inside the handler, not at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the rest of the output is dropped, and
+        # stdout points at os.devnull so that the flush at exit stays quiet
+        # (the recipe of the signal module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if not args.json:
         for note in diagnostics:
             print(f"note: {note}", file=sys.stderr)
     return code

@@ -37,8 +37,9 @@ to find smooth parts of integers", 2004).  Every trial division, of a
 number or of that gcd, is the one loop _divide_out.  Rho iterates
 x -> x^e + c (Brent & Pollard, Math. Comp. 36, 1981): x -> x^e is e-to-1 on the units
 mod such a prime, so the walk lives on about s/e values and its expected
-length falls by about sqrt(e).  Each step costs the roughly log2(e)
-multiplications of pow(x, e, n), and the rho budget charges them.
+length falls by about sqrt(e).  Every e, 2 too, steps by the one map
+pow(x, e, n) + c, whose roughly log2(e) multiplications the rho budget
+charges.
 
 When e = 4k with k odd, a composite cofactor c first takes one gcd with
 2^k - 2^((k+1)/2) + 1.  That is one of Aurifeuille's two factors of
@@ -414,13 +415,13 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int,
                        e: int) -> tuple[int | None, int]:
     """One randomized Brent-cycle rho attempt on x -> x^e + c: (factor | None, cost).
 
-    The cost counts the multiplications mod n that pow(x, e, n) takes, so
+    Every step, of x^2 + c too, is y = pow(y, e, n) + c, left unreduced
+    after + c: pow reduces its base, and q and every gcd read y only mod n.
+    The cost counts the multiplications mod n that pow(y, e, n) takes, so
     one step of x^2 + c costs 1 and the budget bounds the time whatever e is.
     The product q takes its factors two steps at a time, (x - y1)(x - y),
     and without abs: it changes by a sign at most, and gcd(q, n) does not.
-    A block's odd step, only at r = 1, is one pow step for every e.  After
-    a pow step y is left unreduced after + c: pow reduces its base, and q
-    and every gcd read y only mod n.
+    A block has an odd step only at r = 1.
     """
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
@@ -429,33 +430,20 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int,
     g = r = q = 1
     used = 0
     x = ys = y
-    # e == 2 steps by y * y: 5-13% faster per squaring than pow(y, 2, n) on
-    # cofactors of 40 to 150 bits, and a ppd bench round about 5% faster
-    # (Python 3.11, in-process, median of 6 pairs)
     while g == 1:
         x = y
-        if e == 2:
-            for _ in range(r):
-                y = (y * y + c) % n
-        else:
-            for _ in range(r):
-                y = pow(y, e, n) + c
+        for _ in range(r):
+            y = pow(y, e, n) + c
         used += r * step
         k = 0
         while k < r and g == 1:
             ys = y
             # a block has m steps, or r < m: odd only at r = 1
             steps = min(m, r - k)
-            if e == 2:
-                for _ in range(steps >> 1):
-                    y1 = (y * y + c) % n
-                    y = (y1 * y1 + c) % n
-                    q = q * ((x - y1) * (x - y)) % n
-            else:
-                for _ in range(steps >> 1):
-                    y1 = pow(y, e, n) + c
-                    y = pow(y1, e, n) + c
-                    q = q * ((x - y1) * (x - y)) % n
+            for _ in range(steps >> 1):
+                y1 = pow(y, e, n) + c
+                y = pow(y1, e, n) + c
+                q = q * ((x - y1) * (x - y)) % n
             if steps & 1:
                 y = pow(y, e, n) + c
                 q = q * (x - y) % n
@@ -478,24 +466,30 @@ def _pollard_rho_brent(n: int, rng: random.Random, budget: int,
     return (g, used) if g != n else (None, used)
 
 
+def _lcm_upto(b: int) -> int:
+    """lcm(1..b), b < TRIAL_BOUND: the largest power up to b of each prime up to b."""
+    primes = primes_below(TRIAL_BOUND)
+    out = 1
+    for p in primes[:bisect.bisect(primes, b)]:
+        power = p
+        while power * p <= b:
+            power *= p
+        out *= power
+    return out
+
+
 @functools.cache
 def _pm1_plan() -> tuple[int, int, int]:
     """(E, start, charge) for _pollard_pm1, built once.
 
-    E = lcm(1..P1_BOUND), the product of the largest power up to P1_BOUND of
-    each prime below it, about 4.3 kbit.  start is the index in
+    E = lcm(1..P1_BOUND) (_lcm_upto), about 4.3 kbit.  start is the index in
     primes_below(TRIAL_BOUND) of the first prime above P1_BOUND, where
     stage 2 begins.  charge is what the budget counts for one attempt:
     a squaring per bit of E and 2 multiplications per stage-2 prime.
     """
     primes = primes_below(TRIAL_BOUND)
     start = bisect.bisect(primes, P1_BOUND)
-    exponent = 1
-    for p in primes[:start]:
-        power = p
-        while power * p <= P1_BOUND:
-            power *= p
-        exponent *= power
+    exponent = _lcm_upto(P1_BOUND)
     return exponent, start, exponent.bit_length() + 2 * (len(primes) - start)
 
 
@@ -567,12 +561,6 @@ def _ecm_plan(b1: int) -> _EcmPlan:
     multiplications mod n, each of its three inversions counted as one.
     """
     primes = primes_below(max(ECM_B2 * b1 + 1, TRIAL_BOUND))
-    exponent = 1
-    for p in primes[:bisect.bisect(primes, b1)]:
-        power = p
-        while power * p <= b1:
-            power *= p
-        exponent *= power
     babies = {j: i for i, j in enumerate(_ECM_BABIES)}
     pairs: dict[int, set[int]] = {}
     for s in primes[bisect.bisect(primes, b1):bisect.bisect(primes, ECM_B2 * b1)]:
@@ -580,7 +568,7 @@ def _ecm_plan(b1: int) -> _EcmPlan:
         pairs.setdefault(m, set()).add(babies[abs(s - m * ECM_D)])
     first, last = min(pairs), max(pairs)
     slots = tuple(tuple(sorted(pairs.get(m, ()))) for m in range(first, last + 1))
-    bits = bin(exponent)[3:]
+    bits = bin(_lcm_upto(b1))[3:]
     kept = len(slots) + len(babies)
     charge = (15 + 5 + 10 * len(bits)  # the curve, 2P and the ladder
               + 2 + 5 + 6 * (ECM_D // 4)  # x(Q), 2Q and the odd jQ up to D / 2
@@ -626,10 +614,15 @@ def _ecm_curve(n: int, rng: random.Random, b1: int) -> int | None:
     x = 16 * u3 * u3 % n * inv % n
     a24 = (v - u) ** 3 % n * (3 * u + v) % n * v % n * v % n * inv % n
 
-    # stage 1: (x1 : z1) = [i]P and (x2 : z2) = [i + 1]P, from the top bit of k
-    s, d = (x + 1) ** 2 % n, (x - 1) ** 2 % n
-    t = s - d
-    x1, z1, x2, z2 = x, 1, s * d % n, t * (d + a24 * t) % n
+    def dbl(x, z):
+        s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+        t = s - d
+        return s * d % n, t * (d + a24 * t) % n
+
+    # stage 1: (x1 : z1) = [i]P and (x2 : z2) = [i + 1]P, from the top bit of k;
+    # the ladder doubles inline, as a dbl call per bit made a curve 4-6% slower
+    # (Python 3.11, B1 = 250 and 2000)
+    x1, z1, (x2, z2) = x, 1, dbl(x, 1)
     for bit in plan.bits:
         p1, m1, p2, m2 = x1 + z1, x1 - z1, x2 + z2, x2 - z2
         u, v = m1 * p2, p1 * m2
@@ -646,11 +639,6 @@ def _ecm_curve(n: int, rng: random.Random, b1: int) -> int | None:
         return g if g != n else None
 
     # stage 2
-    def dbl(x, z):
-        s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
-        t = s - d
-        return s * d % n, t * (d + a24 * t) % n
-
     def walk(prev, point, step, count):
         # point + i * step for i = 0..count, each from the last two and
         # prev = point - step: x(P + S) from x(P), x(S) and x(P - S)

@@ -80,6 +80,33 @@ def test_factor_by_p_minus_1_within_the_budget(capsys, monkeypatch):
     assert code == 3 and doc["result"]["cofactor"] == int(n)
 
 
+def test_stated_charges_are_the_ones_numtheory_makes():
+    # README, --budget's help and factor()'s docstring state the charges of
+    # p - 1, the rho share and the ECM curves; each is what numtheory builds
+    exponent, start, pm1 = nt._pm1_plan()
+    stage2 = len(nt.primes_below(nt.TRIAL_BOUND)) - start
+    share = nt._rho_share(2)
+    (b1, curve), *rest = [(b1, nt._ecm_plan(b1).charge) for _, b1 in nt.ECM_B1]
+    later = " and ".join(f"{charge} at {b}" for b, charge in rest)
+    readme = " ".join((Path(cli.__file__).parents[2] / "README.md").read_text().split())
+    for stated in (f"One p-1 attempt counts {pm1}: a squaring for each of the "
+                   f"{exponent.bit_length()} bits of `lcm(1..{nt.P1_BOUND})` and 2 for "
+                   f"each of the {stage2} stage-2 primes",
+                   f"its share ({share} for `x^2 + c`",
+                   f"({curve} multiplications at `B1 = {b1}`, {later})",
+                   f"So a budget below {share + curve} factors a plain number as rho "
+                   f"alone, as do budgets below {pm1} on those with fewer than "
+                   f"{nt.P1_MIN_BITS} bits",
+                   f"on a cofactor of at least {nt.P1_MIN_BITS} bits where rho"):
+        assert stated in readme, stated
+    budget = next(a for a in cli.build_parser()._actions if a.dest == "budget")
+    docstring = " ".join(nt.factor.__doc__.split())
+    for text in (budget.help, docstring):  # in thousands, rounded down
+        assert f"about {pm1 // 100 / 10}k" in text and f"{curve // 100 / 10}k" in text
+    assert f"no curve runs below {share + curve}" in budget.help
+    assert f"{share + curve} for e = 2" in docstring
+
+
 def test_mu_families(capsys):
     code, out, _ = run(capsys, "mu", "pgl2", "7", "1")
     assert code == 0 and "6 7 8" in out
@@ -853,6 +880,24 @@ assert not loaded, loaded
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    stdout=subprocess.DEVNULL)
+
+
+@pytest.mark.parametrize("argv", [["omega", "pgl2", "13", "30"],
+                                  ["--json", "omega", "pgl2", "13", "36"]])
+def test_a_reader_closing_the_pipe_changes_no_exit_code(argv):
+    # 0.2 MB of lines, and a 4.7 MB document written in 1 MiB slices, each
+    # far past a pipe's buffer: the reader takes one byte and closes the
+    # pipe, and the command still exits 0, its own code, with nothing on stderr
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "pglspectra.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == (b"{" if "--json" in argv else b"P")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_OK
+    assert err == b"", err  # no traceback
 
 
 # --- every command line of the grammar, drawn ------------------------------------------

@@ -1214,7 +1214,7 @@ def test_pm1_runs_only_where_its_whole_charge_fits(monkeypatch, limits):
        st.integers(0, 24), st.randoms(use_true_random=False))
 def test_pm1_splits_where_p_minus_1_is_smooth_but_for_one_prime(smooth, r, extra, rnd):
     # p - 1 divides E * r, E = lcm(1..P1_BOUND), r a stage-2 prime or none;
-    # q - 1 has a prime above TRIAL_BOUND, so p - 1 finds p alone
+    # q - 1 = 2 R t has a prime R above TRIAL_BOUND, so p - 1 finds p alone
     sympy = pytest.importorskip("sympy")
     exponent = nt._pm1_plan()[0]
     big = r or 1
@@ -1225,8 +1225,9 @@ def test_pm1_splits_where_p_minus_1_is_smooth_but_for_one_prime(smooth, r, extra
     assume(p is not None)
     bits = max(nt.P1_MIN_BITS + 1 - p.bit_length(), 24) + extra
     q = p
-    while q == p or max(sympy.primefactors(q - 1)) < nt.TRIAL_BOUND:
-        q = sympy.nextprime(rnd.randrange(2 ** (bits - 1), 2**bits))
+    while q == p or not sympy.isprime(q):
+        big_r = sympy.nextprime(rnd.randrange(nt.TRIAL_BOUND, 2 ** (bits - 3)))
+        q = 2 * big_r * rnd.randrange(2 ** (bits - 2) // big_r + 1, 2 ** (bits - 1) // big_r) + 1
     n = p * q
     assert n.bit_length() >= nt.P1_MIN_BITS
     assert nt._pollard_pm1(n) == p
